@@ -12,7 +12,7 @@ range query.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -24,41 +24,61 @@ __all__ = ["NoticeTable"]
 
 
 class NoticeTable:
-    """Per-process store of write notices, indexed by (creator, interval)."""
+    """Per-process store of write notices, indexed by (creator, interval).
+
+    A creator's containers are created on its first notice, so an empty
+    table costs the same at every cluster size and a process pays only
+    for the creators it hears from.
+    """
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
-        # creator -> sorted list of intervals; creator -> interval -> notices
-        self._intervals: List[List[int]] = [[] for _ in range(num_procs)]
-        self._by_interval: List[Dict[int, List[WriteNotice]]] = [
-            {} for _ in range(num_procs)
-        ]
-        # (creator, interval) -> pages already present, for O(1) dedup
-        self._pages: List[Dict[int, Set[PageId]]] = [
-            {} for _ in range(num_procs)
-        ]
+        # creator -> sorted intervals; creator -> interval -> page -> notice
+        # (insertion-ordered; the page key dedups)
+        self._intervals: Dict[int, List[int]] = {}
+        self._by_interval: Dict[int, Dict[int, Dict[PageId, WriteNotice]]] = {}
 
     def add(self, notice: WriteNotice) -> bool:
         """Insert a notice; returns False if already known."""
-        creator = notice.creator
-        interval = notice.interval
-        table = self._by_interval[creator]
-        bucket = table.get(interval)
-        if bucket is None:
-            bucket = []
-            table[interval] = bucket
-            self._pages[creator][interval] = set()
-            insort(self._intervals[creator], interval)
-        pages = self._pages[creator][interval]
-        if notice.page in pages:
-            return False
-        pages.add(notice.page)
-        bucket.append(notice)
-        return True
+        return bool(self.add_all((notice,)))
 
-    def add_all(self, notices: Iterable[WriteNotice]) -> List[WriteNotice]:
-        """Insert many; returns the ones that were new."""
-        return [n for n in notices if self.add(n)]
+    def add_all(
+        self, notices: Iterable[WriteNotice], skip_creator: int = -1
+    ) -> List[WriteNotice]:
+        """Insert many, in order, skipping ``skip_creator``'s own notices;
+        returns the ones that were new.
+
+        An interval arriving in order is appended to its creator's sorted
+        list; only an out-of-order one pays for an ``insort``. Notices of
+        one (creator, interval) arrive together, so the bucket is looked
+        up once per run of them.
+        """
+        by_interval = self._by_interval
+        new: List[WriteNotice] = []
+        creator = interval = -1
+        bucket: Dict[PageId, WriteNotice] = {}
+        for wn in notices:
+            c = wn.creator
+            if c == skip_creator:
+                continue
+            if c != creator or wn.interval != interval:
+                creator, interval = c, wn.interval
+                table = by_interval.get(c)
+                if table is None:
+                    table = by_interval[c] = {}
+                    self._intervals[c] = []
+                bucket = table.get(interval)
+                if bucket is None:
+                    bucket = table[interval] = {}
+                    ivs = self._intervals[c]
+                    if ivs and interval < ivs[-1]:
+                        insort(ivs, interval)
+                    else:
+                        ivs.append(interval)
+            if wn.page not in bucket:
+                bucket[wn.page] = wn
+                new.append(wn)
+        return new
 
     def between(self, low: VClock, high: VClock) -> List[WriteNotice]:
         """Notices with ``low[c] < interval <= high[c]`` for their creator.
@@ -73,31 +93,29 @@ class NoticeTable:
             # Python scan per grant
             la, ha = low.as_array(), high.as_array()
             for c in np.flatnonzero(ha > la).tolist():
-                lo, hi = int(la[c]), int(ha[c])
-                ivs = self._intervals[c]
-                start = bisect_right(ivs, lo)
-                end = bisect_right(ivs, hi)
-                for k in range(start, end):
-                    out.extend(self._by_interval[c][ivs[k]])
+                self._extend(out, c, int(la[c]), int(ha[c]))
             return out
         for c in range(self.n):
             lo, hi = low[c], high[c]
-            if hi <= lo:
-                continue
-            ivs = self._intervals[c]
-            start = bisect_right(ivs, lo)
-            end = bisect_right(ivs, hi)
-            for k in range(start, end):
-                out.extend(self._by_interval[c][ivs[k]])
+            if hi > lo:
+                self._extend(out, c, lo, hi)
         return out
+
+    def _extend(self, out: List[WriteNotice], creator: int, lo: int, hi: int) -> None:
+        """Append ``creator``'s notices with ``lo < interval <= hi``."""
+        ivs = self._intervals.get(creator)
+        if not ivs:
+            return
+        table = self._by_interval[creator]
+        for k in range(bisect_right(ivs, lo), bisect_right(ivs, hi)):
+            out.extend(table[ivs[k]].values())
 
     def own_after(self, creator: int, min_interval: int) -> List[WriteNotice]:
         """Notices created by ``creator`` in intervals > ``min_interval``."""
-        ivs = self._intervals[creator]
-        start = bisect_right(ivs, min_interval)
         out: List[WriteNotice] = []
-        for k in range(start, len(ivs)):
-            out.extend(self._by_interval[creator][ivs[k]])
+        ivs = self._intervals.get(creator)
+        if ivs:
+            self._extend(out, creator, min_interval, ivs[-1])
         return out
 
     def trim_creator_before(self, creator: int, min_keep_interval: int) -> int:
@@ -106,24 +124,27 @@ class NoticeTable:
         Implements Rule 1 (wn_log trimming) when applied to the process's
         own notices. Returns the number of notices dropped.
         """
-        ivs = self._intervals[creator]
+        ivs = self._intervals.get(creator)
+        if not ivs:
+            return 0
+        table = self._by_interval[creator]
         cut = bisect_left(ivs, min_keep_interval)
         dropped = 0
         for k in range(cut):
-            dropped += len(self._by_interval[creator].pop(ivs[k]))
-            self._pages[creator].pop(ivs[k], None)
+            dropped += len(table.pop(ivs[k]))
         del ivs[:cut]
         return dropped
 
     def count(self) -> int:
         return sum(
-            len(b) for table in self._by_interval for b in table.values()
+            len(b) for table in self._by_interval.values() for b in table.values()
         )
 
     def all_notices(self) -> List[WriteNotice]:
+        """Every notice, by creator, then in insertion order."""
         return [
             n
-            for table in self._by_interval
-            for bucket in table.values()
-            for n in bucket
+            for c in sorted(self._by_interval)
+            for bucket in self._by_interval[c].values()
+            for n in bucket.values()
         ]

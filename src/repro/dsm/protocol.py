@@ -543,7 +543,7 @@ class DsmProcess:
         st.rel_vt = None
         self._pending_acquires.pop(lock_id, None)
         self._completed_seq[lock_id] = self._acq_seq.get(lock_id, 0)
-        self._apply_notices(grant.notices)
+        self.stats.notices_applied += self._apply_notices(grant.notices)
         # the acquire starts a new local interval (bump); this guarantees
         # every acquire has a unique, strictly increasing own-component,
         # which Rule 2 trimming and replay alignment rely on
@@ -692,7 +692,7 @@ class DsmProcess:
         )
 
     def _complete_barrier(self, release: BarrierRelease) -> None:
-        self._apply_notices(release.notices)
+        self.stats.notices_applied += self._apply_notices(release.notices)
         self.vt = self.vt.join(release.global_vt)
         self.last_barrier_global = release.global_vt
         self.barrier_episode += 1
@@ -704,35 +704,55 @@ class DsmProcess:
     # ------------------------------------------------------------------
     # invalidations
     # ------------------------------------------------------------------
-    def _apply_notices(self, notices: List[WriteNotice]) -> None:
-        for wn in notices:
-            if wn.creator == self.pid:
-                continue
-            if not self.notices.add(wn):
-                continue
-            self.stats.notices_applied += 1
-            self._note_invalidation(wn)
+    def _apply_notices(self, notices: List[WriteNotice]) -> int:
+        """Record a batch of write notices and invalidate the pages they cover.
 
-    def _note_invalidation(self, wn: WriteNotice) -> None:
-        entry = self.entries[wn.page]
-        # the minimal version accumulates *write intervals* per creator —
-        # page versions at homes advance only when diffs are applied, so
-        # joining full causal timestamps here would demand versions that
-        # never materialize
-        base = entry.needed_v or VClock.zero(self.n)
-        if wn.interval <= base[wn.creator]:
-            return
-        needed = base.with_component(wn.creator, wn.interval)
-        if needed.leq(self.have_v[wn.page]):
-            return  # local copy already incorporates these writes
-        entry.needed_v = needed
-        if not self.is_home(wn.page):
-            if entry.dirty:
-                raise RuntimeError(
-                    f"invalidation hit dirty page {wn.page} at {self.pid}; "
-                    "intervals must be flushed before applying notices"
-                )
-            entry.state = PageState.INVALID
+        One bulk insert, then one visit per page: the page's new notices
+        fold into one ``needed_v`` update and its state flips at most
+        once. ``needed_v`` accumulates *write intervals* per creator (home
+        versions advance only as diffs are applied, so full causal
+        timestamps would demand versions that never materialize). The
+        fold keeps the order rule of one-at-a-time application (DESIGN.md
+        §10): while ``needed_v`` is covered by ``have_v``, a notice whose
+        write the local copy already has is dropped for good. Returns the
+        number of new notices.
+        """
+        new = self.notices.add_all(notices, self.pid)
+        by_page: Dict[PageId, List[WriteNotice]] = {}
+        for wn in new:
+            group = by_page.get(wn.page)
+            if group is None:
+                by_page[wn.page] = [wn]
+            else:
+                group.append(wn)
+        zero = VClock.zero(self.n)
+        for page, group in by_page.items():
+            entry = self.entries[page]
+            have = self.have_v[page]
+            needed = entry.needed_v
+            start = 0
+            if needed is None or needed.leq(have):
+                for start, wn in enumerate(group):
+                    if wn.interval > have[wn.creator]:
+                        break
+                else:
+                    continue
+            top: Dict[int, int] = {}
+            for wn in group[start:]:
+                if wn.interval > top.get(wn.creator, 0):
+                    top[wn.creator] = wn.interval
+            raised = (needed or zero).join_sparse(top)
+            if raised is needed:
+                continue
+            entry.needed_v = raised
+            if not self.is_home(page):
+                if entry.dirty:
+                    raise RuntimeError(
+                        f"invalidation hit dirty page {page} at {self.pid}; "
+                        "intervals must be flushed before applying notices"
+                    )
+                entry.state = PageState.INVALID
+        return len(new)
 
     # ------------------------------------------------------------------
     # message handling (instantaneous; CPU cost becomes handler debt)

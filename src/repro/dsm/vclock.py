@@ -272,6 +272,24 @@ class VClock:
             return self
         return VClock._make(v[:i] + (value,) + v[i + 1 :])
 
+    def join_sparse(self, comps: Dict[int, int]) -> "VClock":
+        """Componentwise max with the sparse clock ``{index: value}``.
+
+        Returns ``self`` when no component rises; otherwise one new clock,
+        however many components rose.
+        """
+        wide = self._n >= _ARRAY_WIDTH
+        cur = self.as_array() if wide else self.v
+        out = None
+        for i, x in comps.items():
+            if x > cur[i]:
+                if out is None:
+                    out = cur.copy() if wide else list(cur)
+                out[i] = x
+        if out is None:
+            return self
+        return VClock._make_arr(out) if wide else VClock._make(tuple(out))
+
     def _check(self, other: "VClock") -> None:
         if self._n != other._n:
             raise ValueError(

@@ -94,6 +94,39 @@ def run_once(app_name: str, ft):
     }
 
 
+#: counter FT at 64 processes: every vector clock is wider than
+#: VClock.ARRAY_WIDTH, so this pin covers the array-clock paths the
+#: 4-process pins above never reach. Recorded before write notices were
+#: applied in batches; the batched path must reproduce it exactly
+WIDE_GOLDEN = {
+    "wall_time_hex": "0x1.21457e8a8c6b5p-4",
+    "total_bytes": 2596932,
+    "total_msgs": 4086,
+    "bytes_by_category": {
+        "barrier": 516096, "diff": 128308, "lock": 331680, "page": 1620848,
+    },
+    "msgs_by_category": {"barrier": 756, "diff": 378, "lock": 946, "page": 2006},
+    "notices_applied": 24192,
+    "page_fetches": 1003,
+}
+
+
+def test_matches_wide_array_clock_golden():
+    cluster = make_cluster(64, ft=True)
+    result = cluster.run(make_app("counter"))
+    traffic = result.traffic
+    protos = [h.proto for h in cluster.hosts]
+    assert {
+        "wall_time_hex": result.wall_time.hex(),
+        "total_bytes": traffic.total_bytes,
+        "total_msgs": traffic.total_msgs,
+        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
+        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
+        "notices_applied": sum(p.stats.notices_applied for p in protos),
+        "page_fetches": sum(p.stats.page_fetches for p in protos),
+    } == WIDE_GOLDEN
+
+
 @pytest.mark.parametrize("app_name", ["lu", "counter"])
 @pytest.mark.parametrize("ft", [False, True], ids=["base", "ft"])
 def test_matches_pre_optimization_golden(app_name, ft):

@@ -217,4 +217,4 @@ def test_dirty_page_invalidation_is_protocol_error():
     from repro.dsm.messages import WriteNotice
 
     with pytest.raises(RuntimeError, match="dirty"):
-        p1._note_invalidation(WriteNotice(0, 9, page, VClock((9, 0))))
+        p1._apply_notices([WriteNotice(0, 9, page, VClock((9, 0)))])
