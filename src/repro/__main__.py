@@ -694,12 +694,6 @@ def build_monitor_parser() -> argparse.ArgumentParser:
         help="flight-recorder ring size in events (default 256)",
     )
     p.add_argument(
-        "--scan-every", type=int, default=None, metavar="N",
-        help="run the structural recoverability scan every Nth message "
-        "delivery (default: every delivery on small clusters, "
-        "num_procs/16 on wide ones)",
-    )
-    p.add_argument(
         "--flight", default=None, metavar="PATH",
         help="flight-record JSON path, written on violation "
         "(default benchmarks/FLIGHT_<app>.json)",
@@ -737,9 +731,7 @@ def run_monitor(argv: list) -> int:
         crash_spec = (int(pid_s), float(frac_s) * t_free)
 
     cluster = make_cluster(ns)
-    monitor = InvariantMonitor(
-        cluster, ring_size=args.ring, scan_every=args.scan_every
-    )
+    monitor = InvariantMonitor(cluster, ring_size=args.ring)
     if args.seed_violation:
         # must come after the monitor attach: the fifo seed reorders
         # outside the monitor's observation point

@@ -347,9 +347,8 @@ class CoordinatedFt(FtManager):
         self.committed_round = round_id
         # drop ALL volatile logs (the coordinated scheme's GC advantage)
         self.logs.diff.clear()
-        for i in range(self.n):
-            self.logs.rel.entries[i] = []
-            self.logs.acq.entries[i] = []
+        self.logs.rel.clear()
+        self.logs.acq.clear()
         self.logs.bar = []
         self.logs.selfgrants.clear()
         # drop older stable rounds and page-copy history
@@ -357,14 +356,7 @@ class CoordinatedFt(FtManager):
         for key in store.keys():
             if isinstance(key, tuple) and key[0] == "coord" and key[1] < round_id:
                 store.delete(key)
-        mgr = self.ckpt_mgr
-        for page, copies in mgr.page_copies.items():
-            if len(copies) > 1:
-                for c in copies[:-1]:
-                    mgr.pages_retained_bytes -= len(c.data)
-                    mgr.pages_discarded_bytes += len(c.data)
-                del copies[:-1]
-        mgr._update_window()
+        self.ckpt_mgr.discard_history()
 
     # -- the independent-scheme machinery is disabled ---------------------------
     def run_llt(self):  # pragma: no cover - coordinated GC supersedes it

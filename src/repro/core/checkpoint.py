@@ -28,7 +28,7 @@ from repro.core.logs import DiffLogEntry
 from repro.dsm.messages import WriteNotice
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
-from repro.sim.storage import CheckpointStore
+from repro.sim.storage import CheckpointStore, next_gen
 
 __all__ = ["PageCopy", "Checkpoint", "CheckpointManager"]
 
@@ -79,6 +79,11 @@ class CheckpointManager:
     Owns the page-copy sequences (``pckp``) and implements CGC. The
     object lives in the node's :class:`CheckpointStore`, so it survives a
     fail-stop of the process.
+
+    ``gen`` is a mutation generation (:data:`~repro.sim.storage.next_gen`):
+    every method that changes ``page_copies``, ``latest`` or ``next_seqno``
+    stamps it afresh, so a reader can tell "unchanged since I last looked"
+    in O(1). Mutate these only through the methods below.
     """
 
     def __init__(self, pid: int, num_procs: int, store: CheckpointStore) -> None:
@@ -96,11 +101,13 @@ class CheckpointManager:
         self.pages_discarded_bytes = 0
         #: torn (uncommitted) checkpoints discarded by recovery
         self.torn_discarded = 0
+        self.gen = next_gen()
 
     # ------------------------------------------------------------------
     # seeding (virtual checkpoint 0)
     # ------------------------------------------------------------------
     def seed_initial_pages(self, pages: Dict[PageId, bytes]) -> None:
+        self.gen = next_gen()
         zero = VClock.zero(self.n)
         for page, data in pages.items():
             if page in self.page_copies:
@@ -128,6 +135,7 @@ class CheckpointManager:
             raise ValueError(
                 f"checkpoint seqno {ckpt.seqno}, expected {self.next_seqno}"
             )
+        self.gen = next_gen()
         self.next_seqno += 1
         page_bytes = 0
         for page, (data, version) in homed_pages.items():
@@ -148,6 +156,7 @@ class CheckpointManager:
         """
         if ("ckpt", ckpt.seqno) not in self.store:
             raise RuntimeError(f"commit of unstaged checkpoint {ckpt.seqno}")
+        self.gen = next_gen()
         for page, (data, version) in homed_pages.items():
             self.page_copies.setdefault(page, []).append(
                 PageCopy(ckpt.seqno, version, data)
@@ -181,6 +190,7 @@ class CheckpointManager:
         disk write leaves a marker-less record that must not be used as
         a restart point. Returns the number of keys discarded.
         """
+        self.gen = next_gen()
         torn = self.store.pending_keys()
         for key in torn:
             self.store.delete(key)
@@ -214,6 +224,7 @@ class CheckpointManager:
         deterministically reconstructible seed contents) always
         qualifies; a ceiling of -1 (nothing acked yet) collects nothing.
         """
+        self.gen = next_gen()
         freed = 0
         for page, copies in self.page_copies.items():
             max_idx = 0
@@ -240,6 +251,17 @@ class CheckpointManager:
                 self.store.delete(("ckpt", seqno))
         self._update_window()
         return freed
+
+    def discard_history(self) -> None:
+        """Keep only each page's newest copy (a coordinated commit makes
+        every older copy garbage at once)."""
+        self.gen = next_gen()
+        for copies in self.page_copies.values():
+            for c in copies[:-1]:
+                self.pages_retained_bytes -= len(c.data)
+                self.pages_discarded_bytes += len(c.data)
+            del copies[:-1]
+        self._update_window()
 
     # ------------------------------------------------------------------
     # recovery-side queries

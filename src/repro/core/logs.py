@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.dsm.diff import Diff
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
+from repro.sim.storage import next_gen
 
 __all__ = [
     "RelEntry",
@@ -53,13 +54,22 @@ REL_ENTRY_BYTES = 8
 
 
 class RelLog:
-    """Grants made by this process, bucketed per acquirer."""
+    """Grants made by this process, bucketed per acquirer.
+
+    ``gen`` is a mutation generation (:data:`~repro.sim.storage.next_gen`)
+    stamped afresh by every mutation, and ``bucket_gen[i]`` is the
+    generation of the last mutation of ``entries[i]``. Mutate ``entries``
+    only through the methods below.
+    """
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
         self.entries: List[List[RelEntry]] = [[] for _ in range(num_procs)]
+        self.gen = next_gen()
+        self.bucket_gen = [self.gen] * num_procs
 
     def append(self, acquirer: int, lock_id: int, acq_t: VClock) -> None:
+        self.gen = self.bucket_gen[acquirer] = next_gen()
         self.entries[acquirer].append(RelEntry(lock_id, acq_t))
 
     def for_acquirer(self, acquirer: int) -> List[RelEntry]:
@@ -69,11 +79,21 @@ class RelLog:
         """Rule 2: keep entries with ``acq_t[acquirer] > Tckp_acquirer[acquirer]``."""
         old = self.entries[acquirer]
         kept = [e for e in old if e.acq_t[acquirer] > tckp_component]
-        self.entries[acquirer] = kept
+        if len(kept) < len(old):
+            self.gen = self.bucket_gen[acquirer] = next_gen()
+            self.entries[acquirer] = kept
         return len(old) - len(kept)
 
     def restore_for(self, acquirer: int, entries: Iterable[RelEntry]) -> None:
+        self.gen = self.bucket_gen[acquirer] = next_gen()
         self.entries[acquirer] = list(entries)
+
+    def clear(self) -> None:
+        """Drop every entry (a coordinated commit obsoletes them all)."""
+        self.gen = next_gen()
+        self.bucket_gen = [self.gen] * self.n
+        for i in range(self.n):
+            self.entries[i] = []
 
     def confirm(
         self, acquirer: int, lock_id: int, actual_t: VClock, own_pid: int
@@ -93,6 +113,7 @@ class RelLog:
             e = lst[i]
             if e.lock_id == lock_id and e.acq_t[own_pid] == comp:
                 if e.acq_t is not actual_t and e.acq_t != actual_t:
+                    self.gen = self.bucket_gen[acquirer] = next_gen()
                     lst[i] = RelEntry(lock_id, actual_t)
                 return True
         return False
@@ -102,18 +123,24 @@ class RelLog:
 
 
 class AcqLog:
-    """This process's own remote acquires, bucketed per grantor (mirror)."""
+    """This process's own remote acquires, bucketed per grantor (mirror).
+
+    ``gen`` and ``bucket_gen`` as for :class:`RelLog`.
+    """
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
         self.entries: List[List[RelEntry]] = [[] for _ in range(num_procs)]
-        #: grantors with entries — the trim pass visits only these instead
-        #: of scanning all N buckets at every checkpoint
-        self._nonempty: set = set()
+        #: grantors with entries — the trim pass and the invariant
+        #: monitor visit only these instead of scanning all N buckets
+        self.nonempty: set = set()
+        self.gen = next_gen()
+        self.bucket_gen = [self.gen] * num_procs
 
     def append(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
+        self.gen = self.bucket_gen[grantor] = next_gen()
         self.entries[grantor].append(RelEntry(lock_id, acq_t))
-        self._nonempty.add(grantor)
+        self.nonempty.add(grantor)
 
     def for_grantor(self, grantor: int) -> List[RelEntry]:
         return list(self.entries[grantor])
@@ -124,15 +151,30 @@ class AcqLog:
         Entries at or below the own checkpoint cut restore portions of a
         crashed grantor's rel_log that no recovery can need any more.
         """
+        changed = []
         dropped = 0
-        for g in sorted(self._nonempty):
+        for g in sorted(self.nonempty):
             old = self.entries[g]
             kept = [e for e in old if e.acq_t[own_pid] > own_tckp_component]
-            dropped += len(old) - len(kept)
-            self.entries[g] = kept
-            if not kept:
-                self._nonempty.discard(g)
+            if len(kept) < len(old):
+                changed.append(g)
+                dropped += len(old) - len(kept)
+                self.entries[g] = kept
+                if not kept:
+                    self.nonempty.discard(g)
+        if changed:
+            self.gen = next_gen()
+            for g in changed:
+                self.bucket_gen[g] = self.gen
         return dropped
+
+    def clear(self) -> None:
+        """Drop every entry (a coordinated commit obsoletes them all)."""
+        self.gen = next_gen()
+        self.bucket_gen = [self.gen] * self.n
+        for i in range(self.n):
+            self.entries[i] = []
+        self.nonempty.clear()
 
     def count(self) -> int:
         return sum(len(e) for e in self.entries)

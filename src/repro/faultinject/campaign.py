@@ -295,7 +295,7 @@ def load_sweep(source: Any) -> Dict[str, Any]:
     """Load a sweep JSON artifact, normalizing schema v1 to v2.
 
     ``source`` is a path or an already-parsed dict. v1 artifacts (no
-    ``schema`` key — e.g. the committed ``SWEEP_counter*.json``
+    ``schema`` key — e.g. the ``tests/fixtures/SWEEP_counter*_v1.json``
     fixtures) gain ``schema: 1`` left as-is for provenance plus empty
     ``recovery_phases``/``recovery_by_class`` fields, so readers can
     treat every sweep uniformly. v2 artifacts pass through unchanged.
@@ -398,7 +398,6 @@ class CrashSweep:
         classes: Optional[Tuple[str, ...]] = None,
         faults: int = 1,
         monitor: bool = True,
-        monitor_scan_every: int = 10,
     ) -> None:
         if faults not in (1, 2):
             raise ValueError("--faults must be 1 or 2")
@@ -422,7 +421,6 @@ class CrashSweep:
         #: every injection run (read-only, so step indices stay valid);
         #: a violation turns the point into ``failed``
         self.monitor = monitor
-        self.monitor_scan_every = monitor_scan_every
         self.reference_snapshots: Dict[str, bytes] = {}
         self.reference_trace: List[Any] = []
         self.reference_steps = 0
@@ -438,7 +436,7 @@ class CrashSweep:
             return None
         from repro.observe import InvariantMonitor
 
-        return InvariantMonitor(cluster, scan_every=self.monitor_scan_every)
+        return InvariantMonitor(cluster)
 
     # ------------------------------------------------------------------
     def run_reference(self) -> None:

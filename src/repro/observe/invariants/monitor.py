@@ -77,6 +77,7 @@ import numpy as np
 
 from repro.dsm.vclock import VClock
 from repro.observe.invariants.recorder import FlightRecorder
+from repro.sim.storage import next_gen
 
 __all__ = ["INVARIANTS", "Violation", "InvariantMonitor"]
 
@@ -85,6 +86,12 @@ INVARIANTS = ("cgc", "llt", "vclock", "fifo", "recoverability")
 
 #: message attributes carrying vector-clock stamps (happened-before check)
 _STAMP_ATTRS = ("vt", "acq_vt", "rel_vt", "diff_vt", "global_vt")
+
+#: "not computed yet" marker (None is a meaningful vt floor)
+_UNSET = object()
+
+#: bound on remembered passing stamps (the memo is cleared when full)
+_STAMP_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -113,13 +120,46 @@ class Violation:
         }
 
 
+class _ScanMemo:
+    """What the incremental structural scan knows passed, and on which
+    inputs: mutation generations (0: not known to pass) plus the scalars
+    a check compares. Valid for one live set; see
+    :meth:`InvariantMonitor._scan_structural`."""
+
+    def __init__(self, live: List[bool]) -> None:
+        n = len(live)
+        #: live-and-not-recovering flag per pid the memo is valid for
+        self.live = live
+        #: pid -> max(ckpt_mgr.gen, store.gen) its host checks passed on
+        self.hosts = [0] * n
+        #: pid -> acquirer / grantor stamp seen by the last scan
+        self.acq = [0] * n
+        self.rel = [0] * n
+        #: (acquirer, grantor) pairs that failed the last scan
+        self.bad_pairs: Set[Tuple[int, int]] = set()
+        #: (acquirer, grantor) -> (max of the two bucket gens, restart
+        #: cut) the pair passed on
+        self.pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: pid -> (ckpt_mgr.gen, acked seqno mark) its ack check passed on
+        self.acked: Dict[int, Tuple[int, int]] = {}
+        #: (holder, protected) -> (replica store gen, protected's latest
+        #: committed seqno) the held-chain check passed on
+        self.held: Dict[Tuple[int, int], Tuple[int, Optional[int]]] = {}
+        #: next_gen.last at the last scan, and whether every host and pair
+        #: check passed then (if so and nothing was mutated since, the
+        #: next scan skips both phases)
+        self.gen = 0
+        self.clean = False
+
+
 class InvariantMonitor:
     """Continuously checks the paper-bound invariants of one cluster.
 
-    ``scan_every`` throttles the structural recoverability scan (the one
-    check that walks every host's checkpoint store) to every Nth message
-    delivery; probe-triggered scans (checkpoint commits, recoveries) and
-    the final :meth:`finish` scan always run. Violations are collected,
+    The structural recoverability scan runs at every message delivery,
+    incrementally: a sub-check is skipped while the mutation generations
+    of everything it reads are those it last passed with (see
+    :meth:`_scan_structural`). A full scan runs when a recovered node
+    goes live and at :meth:`finish`. Violations are collected,
     deduplicated on (invariant, pid, detail) and capped; the first one
     snapshots a flight record (:attr:`violation_dump`), as does every
     crash (:attr:`crash_dumps`, last four kept).
@@ -129,22 +169,9 @@ class InvariantMonitor:
         self,
         cluster: Any,
         ring_size: int = 256,
-        scan_every: Optional[int] = None,
         max_violations: int = 64,
     ) -> None:
-        if scan_every is None:
-            # default cadence: every delivery on paper-scale clusters;
-            # throttled on wide ones, where the scan is O(N) and
-            # deliveries are O(N^2) per barrier (probe-triggered and
-            # final scans still always run)
-            n_default = cluster.config.num_procs
-            scan_every = (
-                1 if n_default < VClock.ARRAY_WIDTH else max(1, n_default // 16)
-            )
-        if scan_every < 1:
-            raise ValueError("scan_every must be >= 1")
         self.cluster = cluster
-        self.scan_every = scan_every
         self.max_violations = max_violations
         self.recorder = FlightRecorder(ring_size)
         self.violations: List[Violation] = []
@@ -159,6 +186,12 @@ class InvariantMonitor:
         #: reset (a replay cannot legitimately overtake the pre-crash
         #: observation before re-executing the same intervals)
         self._hwm: List[int] = [0] * n
+        #: the same marks as an array, for the vectorized stamp screen
+        self._hwm_arr = np.zeros(n, dtype=np.int64)
+        #: id -> stamp that passed the happened-before check (holding the
+        #: stamp keeps its id unique); messages and piggybacks carry the
+        #: same clock objects over and over
+        self._stamps_passed: Dict[int, VClock] = {}
         #: last observed vt per process (monotonicity baseline; reset to
         #: None on fail-stop — replay rewinds legitimately)
         self._last_vt: List[Optional[VClock]] = [None] * n
@@ -172,7 +205,9 @@ class InvariantMonitor:
         #: stable-store keys are legal only there or while down)
         self._ckpt_writing: Set[int] = set()
         self._seen: Set[Tuple[str, int, str]] = set()
-        self._deliveries = 0
+        #: what the incremental structural scan knows passed; replaced
+        #: by an empty one to drop it (see _scan_structural)
+        self._memo = _ScanMemo([])
         #: page -> home pid, built lazily (regions exist only after setup)
         self._homes: Optional[Dict[Any, int]] = None
         #: home pid -> its pages (built with _homes)
@@ -250,9 +285,7 @@ class InvariantMonitor:
         self.checks["fifo"] += 1
         self._refresh_vclocks((src, dst))
         self._check_stamps(src, payload)
-        self._deliveries += 1
-        if self._deliveries % self.scan_every == 0:
-            self._scan_structural()
+        self._scan_structural(memo=self._memo)
         eng = self.cluster.engine
         self.recorder.on_message(
             "deliver", eng.now, eng.steps, src, dst, payload
@@ -276,15 +309,18 @@ class InvariantMonitor:
                 self._ckpt_writing.discard(pid)
         elif kind == "failure":
             # emitted before the kill: snapshot the victim's last state
+            self._memo = _ScanMemo([])
             self._ckpt_writing.discard(pid)
             self._last_vt[pid] = None
             self.crash_dumps.append(
                 self.flight_record(f"crash of p{pid} (fail-stop)")
             )
             del self.crash_dumps[:-4]
-        elif kind == "recovery" and detail == "live":
-            self._last_vt[pid] = None
-            self._scan_structural()
+        elif kind == "recovery":
+            self._memo = _ScanMemo([])
+            if detail == "live":
+                self._last_vt[pid] = None
+                self._scan_structural()
 
     # ==================================================================
     # violation bookkeeping
@@ -326,11 +362,15 @@ class InvariantMonitor:
                 continue
             vt = proto.vt
             pid = host.pid
+            prev = last[pid]
+            if prev is vt:
+                continue  # unchanged since its last refresh
             own = vt.v[pid]
             if own > hwm[pid]:
                 hwm[pid] = own
-            prev = last[pid]
-            if prev is not None and prev is not vt and not prev.leq(vt):
+                self._hwm_arr[pid] = own
+            if prev is not None and not prev.leq(vt):
+                self._memo = _ScanMemo([])  # Rule 3 passes assumed growth
                 self._violate(
                     "vclock", pid,
                     f"vector time regressed: {tuple(prev)} -> {tuple(vt)}",
@@ -356,11 +396,18 @@ class InvariantMonitor:
 
     def _check_stamp(self, origin: int, mname: str, attr: str,
                      t: VClock) -> None:
+        passed = self._stamps_passed
+        if passed.get(id(t)) is t:
+            return  # passed before, and the marks never decrease
         hwm = self._hwm
         if len(t) >= VClock.ARRAY_WIDTH and not bool(
-            (t.as_array() > np.asarray(hwm)).any()
+            (t.as_array() > self._hwm_arr).any()
         ):
-            return  # vectorized screen; the loop below only names the culprit
+            # vectorized screen; the loop below only names the culprit
+            if len(passed) >= _STAMP_MEMO:
+                passed.clear()
+            passed[id(t)] = t
+            return
         for j, c in enumerate(t.v):
             if c > hwm[j]:
                 self._violate(
@@ -371,6 +418,9 @@ class InvariantMonitor:
                     "interval its owner never started)",
                 )
                 return
+        if len(passed) >= _STAMP_MEMO:
+            passed.clear()
+        passed[id(t)] = t
 
     # ==================================================================
     # invariant 1 — CGC (Rule 3.1), checked at every "cgc" probe
@@ -385,10 +435,7 @@ class InvariantMonitor:
         # with buddy replication, a copy is collectible only when it is
         # ALSO buddy-held: CGC gates on the replica-ack seqno ceiling, so
         # copies <= Tmin above the ceiling legitimately survive the pass
-        ceil = (
-            ft.cgc_seqno_ceiling()
-            if hasattr(ft, "cgc_seqno_ceiling") else None
-        )
+        ceil = ft.cgc_seqno_ceiling()
         for page, copies in mgr.page_copies.items():
             # versions are non-decreasing, so copies <= Tmin form a
             # prefix; after a correct pass only its last element remains
@@ -562,179 +609,316 @@ class InvariantMonitor:
     # ==================================================================
     # invariant 5 — structural recoverability
     # ==================================================================
-    def _scan_structural(self, final: bool = False) -> None:
+    def _scan_structural(
+        self, final: bool = False, memo: Optional["_ScanMemo"] = None,
+    ) -> None:
+        """One recoverability scan over every host.
+
+        Without ``memo`` this is the full scan (a recovered node's live
+        switch, :meth:`finish`). With it (the per-delivery scan) a
+        sub-check is skipped when ``memo`` shows it passed on the inputs
+        it would read now. Inputs are compared by mutation generation
+        (``gen``, DESIGN.md §9), so a skipped check is one that passed on
+        identical state — and would pass again. The one input without a
+        generation is the live peers' vector times in the Rule 3 check: a
+        pass there survives their growth, and the memo is dropped when
+        one regresses, when the live set changes, and on every failure or
+        recovery probe. So the incremental scan emits exactly the full
+        scan's violations, in the same order. ``final`` scans are full.
+        """
         hosts = self.cluster.hosts
-        # Wide clusters: one componentwise min over every live vector
-        # time screens the per-(page, peer) Rule 3 loop — a copy version
-        # below the global min is below every peer's vt, so the O(pages
-        # x peers) leq loop runs only when the screen fails (and then
-        # emits exactly the violations the plain loop would).
-        vt_floor = None
         if len(hosts) >= VClock.ARRAY_WIDTH:
             self._refresh_vclocks()  # full monotonicity sweep (see above)
-            live_vts = [
-                h.proto.vt.as_array()
-                for h in hosts
-                if h.live and not h.recovering and h.proto is not None
-            ]
-            if live_vts:
-                vt_floor = np.minimum.reduce(live_vts)
+        if memo is not None:
+            live = [h.live and not h.recovering for h in hosts]
+            if live != memo.live:
+                memo = self._memo = _ScanMemo(live)
+        if memo is None or not memo.clean or memo.gen != next_gen.last:
+            # both phases always run (``and`` would short-circuit)
+            clean = self._scan_hosts(memo)
+            clean = self._scan_pairs(final, memo) and clean
+            if memo is not None:
+                memo.gen, memo.clean = next_gen.last, clean
+        # else: nothing was mutated since a scan at which every host and
+        # pair check passed
+        self._scan_replicas(final, memo)
+        self.checks["recoverability"] += 1
+
+    def _scan_hosts(self, memo: Optional["_ScanMemo"]) -> bool:
+        """Per-host stable state: retained-copy chains (Rule 3), the
+        restart checkpoint, torn keys. Returns True when all passed."""
+        hosts = self.cluster.hosts
+        wide = len(hosts) >= VClock.ARRAY_WIDTH
+        # Wide clusters: one componentwise min over every live vector
+        # time screens the per-(page, peer) Rule 3 loop (computed on
+        # first use: the incremental scan rarely needs it)
+        vt_floor: Any = _UNSET
+        clean = True
         for host in hosts:
             mgr = host.ckpt_mgr
             if mgr is None:
                 continue
             pid = host.pid
-            # iterate the pages that MUST have a copy sequence here (the
-            # ones homed at this node) rather than page_copies' own keys,
-            # so a vanished page is a violation, not a silent skip
-            for page in self._pages_homed_at(pid):
-                copies = mgr.page_copies.get(page)
-                if not copies:
-                    self._violate(
-                        "recoverability", pid,
-                        f"page {tuple(page)} has no retained checkpoint "
-                        "copies — no recovery could obtain a starting copy",
-                    )
-                    continue
-                for a, b in zip(copies, copies[1:]):
-                    if not (a.version.leq(b.version)
-                            and a.ckpt_seqno < b.ckpt_seqno):
-                        self._violate(
-                            "recoverability", pid,
-                            f"page {tuple(page)} retained-copy sequence "
-                            f"is not monotone at checkpoints "
-                            f"{a.ckpt_seqno}/{b.ckpt_seqno}",
-                        )
-                        break
-                # Rule 3 precondition: every live peer's replay ceiling
-                # (its current vt) dominates the oldest retained copy, so
-                # a usable starting copy exists for any single failure
-                p0 = copies[0]
-                if vt_floor is not None and bool(
-                    (p0.version.as_array() <= vt_floor).all()
-                ):
-                    continue
-                for peer in hosts:
-                    if (peer.pid == pid or not peer.live
-                            or peer.recovering or peer.proto is None):
-                        continue
-                    if not p0.version.leq(peer.proto.vt):
-                        self._violate(
-                            "recoverability", pid,
-                            f"oldest retained copy of page {tuple(page)} "
-                            f"(version {tuple(p0.version)}) is not <= "
-                            f"p{peer.pid}'s vector time "
-                            f"{tuple(peer.proto.vt)} — a crash of "
-                            f"p{peer.pid} would find no usable starting "
-                            "copy (Rule 3 precondition)",
-                        )
+            store = mgr.store
+            # generations come from one increasing counter, so the max
+            # of two changes exactly when either structure is mutated
+            stamp = max(mgr.gen, store.gen)
+            if memo is not None and memo.hosts[pid] == stamp:
+                continue
+            if vt_floor is _UNSET:
+                vt_floor = self._live_vt_floor() if wide else None
+            ok = self._check_pages(host, vt_floor)
             if mgr.latest is not None:
                 key = ("ckpt", mgr.latest.seqno)
-                if key not in mgr.store or mgr.store.is_pending(key):
+                if key not in store or store.is_pending(key):
+                    ok = False
                     self._violate(
                         "recoverability", pid,
                         f"restart checkpoint {mgr.latest.seqno} is not a "
                         "committed stable-storage key",
                     )
-            if (host.live and not host.recovering
-                    and pid not in self._ckpt_writing):
-                torn = mgr.store.pending_keys()
-                if torn:
+            # read even outside the check's window: a store without torn
+            # keys is what lets the memo skip this check while it holds
+            torn = store.pending_keys()
+            if torn:
+                ok = False
+                if (host.live and not host.recovering
+                        and pid not in self._ckpt_writing):
                     self._violate(
                         "recoverability", pid,
                         f"stable store holds torn keys {torn} outside any "
                         "checkpoint write window",
                     )
-        # §4.2.1 replication: every acquire a live node logged must be
-        # present in its (live) grantor's rel_log — a lost entry means a
-        # replay of our acquires would lose a grant. Caveats that bound
-        # what is checkable from metadata alone:
-        #
-        # * entries at or below our own checkpoint cut are dead (a
-        #   restart replays nothing before the cut) and may linger in
-        #   our acq_log until our next LLT pass — skipped;
-        # * grantors log the acquirer's *actual* acquire timestamp: the
-        #   initial entry carries the grant-time prediction (= actual on
-        #   every failure-free path) and the acquirer's AcqAck replaces
-        #   it with the actual vt when the two diverge (recovery-forced
-        #   resends). Entries are matched by grant identity — lock id
-        #   plus the *grantor's own* vt component, which both sides
-        #   compute identically. A matched pair must agree: exactly once
-        #   the run has quiesced (``final``), and within prediction <=
-        #   actual while an AcqAck may still be in flight. A missing
-        #   match is flagged only when the grantor retains an *older*
-        #   grant for us: correct trimming is a prefix drop in grant
-        #   order, so old-retained + new-missing is a definite loss,
-        #   while all-later/empty is just the grantor's earlier trim.
-        for host in hosts:
+            if memo is not None:
+                memo.hosts[pid] = stamp if ok else 0
+            clean = clean and ok
+        return clean
+
+    def _scan_pairs(self, final: bool, memo: Optional["_ScanMemo"]) -> bool:
+        """§4.2.1 replication, pairwise (see :meth:`_check_pair`).
+        Returns True when every visited pair passed."""
+        hosts = self.cluster.hosts
+        bad = set()
+        for i, g in self._pairs_to_check(memo):
+            host, peer = hosts[i], hosts[g]
             ft = host.ft
-            if ft is None or not host.live or host.recovering:
+            if (g == i or ft is None or not host.live or host.recovering
+                    or peer.ft is None or not peer.live or peer.recovering):
                 continue
-            i = host.pid
+            mine = ft.logs.acq.entries[g]
+            if not mine:
+                continue
             mgr = host.ckpt_mgr
             own_cut = (
                 mgr.latest.tckp[i]
                 if mgr is not None and mgr.latest is not None else 0
             )
-            for g, mine in enumerate(ft.logs.acq.entries):
-                # cheapest rejection first: most (i, g) pairs never
-                # exchanged a lock, and the pair loop is O(N^2) per scan
-                if not mine or g == i:
+            rel = peer.ft.logs.rel
+            pair = (i, g)
+            bucket = max(ft.logs.acq.bucket_gen[g], rel.bucket_gen[i])
+            stamp = (bucket, own_cut)
+            if memo is not None and memo.pairs.get(pair) == stamp:
+                continue  # a candidate whose own buckets are unchanged
+            if self._check_pair(i, g, mine, rel.entries[i], own_cut, final):
+                if memo is not None:
+                    memo.pairs[pair] = stamp
+            else:
+                bad.add(pair)
+                if memo is not None:
+                    memo.pairs.pop(pair, None)
+        if memo is not None:
+            memo.bad_pairs = bad
+        return not bad
+
+    def _pairs_to_check(
+        self, memo: Optional["_ScanMemo"]
+    ) -> List[Tuple[int, int]]:
+        """The (acquirer, grantor) pairs a scan visits, in order.
+
+        The full scan visits all of them. The incremental one visits the
+        pairs that failed last time plus those whose inputs changed since
+        the last scan: the acquirer's acq_log or checkpoint manager (its
+        restart cut), or the grantor's rel_log. Every other pair passed
+        on the very same inputs.
+        """
+        hosts = self.cluster.hosts
+        n = len(hosts)
+        if memo is None:
+            return [(i, g) for i in range(n) for g in range(n)]
+        todo = set(memo.bad_pairs)
+        regranted = []
+        for host in hosts:
+            ft = host.ft
+            if ft is None:
+                continue
+            i = host.pid
+            acq = ft.logs.acq
+            mgr = host.ckpt_mgr
+            stamp = max(acq.gen, mgr.gen) if mgr is not None else acq.gen
+            if memo.acq[i] != stamp:
+                memo.acq[i] = stamp
+                todo.update((i, g) for g in acq.nonempty)
+            rel_gen = ft.logs.rel.gen
+            if memo.rel[i] != rel_gen:
+                memo.rel[i] = rel_gen
+                regranted.append(i)
+        if regranted:
+            for host in hosts:
+                if host.ft is not None:
+                    grantors = host.ft.logs.acq.nonempty
+                    todo.update(
+                        (host.pid, g) for g in regranted if g in grantors
+                    )
+        return sorted(todo)
+
+    def _live_vt_floor(self) -> Optional[np.ndarray]:
+        """Componentwise min of every live vector time (None: none live)."""
+        live_vts = [
+            h.proto.vt.as_array()
+            for h in self.cluster.hosts
+            if h.live and not h.recovering and h.proto is not None
+        ]
+        return np.minimum.reduce(live_vts) if live_vts else None
+
+    def _check_pages(self, host: Any, vt_floor: Optional[np.ndarray]) -> bool:
+        """Retained-copy chains of the pages homed at ``host``: non-empty,
+        monotone, and with a starting copy every live peer can use
+        (Rule 3). Returns True when nothing was violated.
+
+        A copy version below ``vt_floor`` (the min over every live vector
+        time) is below every peer's vt, so the O(peers) ``leq`` loop runs
+        only when that screen fails, and then emits exactly what the
+        plain loop would.
+        """
+        hosts = self.cluster.hosts
+        mgr = host.ckpt_mgr
+        pid = host.pid
+        ok = True
+        # iterate the pages that MUST have a copy sequence here (the
+        # ones homed at this node) rather than page_copies' own keys,
+        # so a vanished page is a violation, not a silent skip
+        for page in self._pages_homed_at(pid):
+            copies = mgr.page_copies.get(page)
+            if not copies:
+                ok = False
+                self._violate(
+                    "recoverability", pid,
+                    f"page {tuple(page)} has no retained checkpoint "
+                    "copies — no recovery could obtain a starting copy",
+                )
+                continue
+            for a, b in zip(copies, copies[1:]):
+                if not (a.version.leq(b.version)
+                        and a.ckpt_seqno < b.ckpt_seqno):
+                    ok = False
+                    self._violate(
+                        "recoverability", pid,
+                        f"page {tuple(page)} retained-copy sequence "
+                        f"is not monotone at checkpoints "
+                        f"{a.ckpt_seqno}/{b.ckpt_seqno}",
+                    )
+                    break
+            # Rule 3 precondition: every live peer's replay ceiling
+            # (its current vt) dominates the oldest retained copy, so
+            # a usable starting copy exists for any single failure
+            p0 = copies[0]
+            if vt_floor is not None and bool(
+                (p0.version.as_array() <= vt_floor).all()
+            ):
+                continue
+            for peer in hosts:
+                if (peer.pid == pid or not peer.live
+                        or peer.recovering or peer.proto is None):
                     continue
-                peer = hosts[g]
-                if (peer.ft is None or not peer.live or peer.recovering):
-                    continue
-                rel = peer.ft.logs.rel.entries[i]
-                theirs: Dict[Tuple[int, int], List[Any]] = {}
-                for e in rel:
-                    theirs.setdefault(
-                        (e.lock_id, e.acq_t[g]), []
-                    ).append(e.acq_t)
-                oldest_rel = min((e.acq_t[g] for e in rel), default=None)
-                for e in mine:
-                    if e.acq_t[i] <= own_cut:
-                        continue  # dead: below our own restart cut
-                    logged = theirs.get((e.lock_id, e.acq_t[g]))
-                    if logged is not None:
-                        if final:
-                            if not any(t == e.acq_t for t in logged):
-                                self._violate(
-                                    "recoverability", i,
-                                    f"p{g}'s rel_log[{i}] entry for lock "
-                                    f"{e.lock_id} does not exactly match "
-                                    f"the acquirer's actual timestamp "
-                                    f"{tuple(e.acq_t)} after quiescence — "
-                                    "the §4.2.1 pair disagrees (AcqAck "
-                                    "fix-up lost)",
-                                )
-                                break
-                        elif not any(t.leq(e.acq_t) for t in logged):
-                            self._violate(
-                                "recoverability", i,
-                                f"p{g}'s rel_log[{i}] entry for lock "
-                                f"{e.lock_id} stamps a timestamp beyond "
-                                f"the acquirer's actual {tuple(e.acq_t)} "
-                                "— the grantor logged an acquire that "
-                                "never happened",
-                            )
-                            break
-                        continue
-                    if oldest_rel is not None and oldest_rel < e.acq_t[g]:
+                if not p0.version.leq(peer.proto.vt):
+                    ok = False
+                    self._violate(
+                        "recoverability", pid,
+                        f"oldest retained copy of page {tuple(page)} "
+                        f"(version {tuple(p0.version)}) is not <= "
+                        f"p{peer.pid}'s vector time "
+                        f"{tuple(peer.proto.vt)} — a crash of "
+                        f"p{peer.pid} would find no usable starting "
+                        "copy (Rule 3 precondition)",
+                    )
+        return ok
+
+    def _check_pair(self, i: int, g: int, mine: List[Any], rel: List[Any],
+                    own_cut: int, final: bool) -> bool:
+        """§4.2.1 replication for one (acquirer ``i``, grantor ``g``) pair:
+        every acquire ``i`` logged (``mine``) must be present in ``g``'s
+        rel_log for ``i`` (``rel``) — a lost entry means a replay of our
+        acquires would lose a grant. Returns True when nothing was
+        violated.
+
+        Caveats that bound what is checkable from metadata alone:
+
+        * entries at or below ``i``'s own checkpoint cut are dead (a
+          restart replays nothing before the cut) and may linger in its
+          acq_log until its next LLT pass — skipped;
+        * grantors log the acquirer's *actual* acquire timestamp: the
+          initial entry carries the grant-time prediction (= actual on
+          every failure-free path) and the acquirer's AcqAck replaces it
+          with the actual vt when the two diverge (recovery-forced
+          resends). Entries are matched by grant identity — lock id plus
+          the *grantor's own* vt component, which both sides compute
+          identically. A matched pair must agree: exactly once the run
+          has quiesced (``final``), and within prediction <= actual while
+          an AcqAck may still be in flight. A missing match is flagged
+          only when the grantor retains an *older* grant for us: correct
+          trimming is a prefix drop in grant order, so old-retained +
+          new-missing is a definite loss, while all-later/empty is just
+          the grantor's earlier trim.
+        """
+        theirs: Dict[Tuple[int, int], List[Any]] = {}
+        for e in rel:
+            theirs.setdefault((e.lock_id, e.acq_t[g]), []).append(e.acq_t)
+        oldest_rel = min((e.acq_t[g] for e in rel), default=None)
+        for e in mine:
+            if e.acq_t[i] <= own_cut:
+                continue  # dead: below our own restart cut
+            logged = theirs.get((e.lock_id, e.acq_t[g]))
+            if logged is not None:
+                if final:
+                    if not any(t == e.acq_t for t in logged):
                         self._violate(
                             "recoverability", i,
-                            f"acq_log entry (lock {e.lock_id}, acq_t "
-                            f"{tuple(e.acq_t)}) granted by p{g} is missing "
-                            f"from p{g}'s rel_log[{i}], which still holds "
-                            f"an older grant — the §4.2.1 replicated pair "
-                            "lost an entry",
+                            f"p{g}'s rel_log[{i}] entry for lock "
+                            f"{e.lock_id} does not exactly match "
+                            f"the acquirer's actual timestamp "
+                            f"{tuple(e.acq_t)} after quiescence — "
+                            "the §4.2.1 pair disagrees (AcqAck "
+                            "fix-up lost)",
                         )
-                        break
-        self._scan_replicas(final)
-        self.checks["recoverability"] += 1
+                        return False
+                elif not any(t.leq(e.acq_t) for t in logged):
+                    self._violate(
+                        "recoverability", i,
+                        f"p{g}'s rel_log[{i}] entry for lock "
+                        f"{e.lock_id} stamps a timestamp beyond "
+                        f"the acquirer's actual {tuple(e.acq_t)} "
+                        "— the grantor logged an acquire that "
+                        "never happened",
+                    )
+                    return False
+                continue
+            if oldest_rel is not None and oldest_rel < e.acq_t[g]:
+                self._violate(
+                    "recoverability", i,
+                    f"acq_log entry (lock {e.lock_id}, acq_t "
+                    f"{tuple(e.acq_t)}) granted by p{g} is missing "
+                    f"from p{g}'s rel_log[{i}], which still holds "
+                    f"an older grant — the §4.2.1 replicated pair "
+                    "lost an entry",
+                )
+                return False
+        return True
 
-    def _scan_replicas(self, final: bool) -> None:
+    def _scan_replicas(self, final: bool,
+                       memo: Optional["_ScanMemo"]) -> None:
         """Replication-tier recoverability: trims never outran buddy
-        acks, and buddy-held replica chains are sane.
+        acks, and buddy-held replica chains are sane (``memo`` as for
+        :meth:`_scan_structural`).
 
         The protected side's bound uses a high-water mark of acked
         seqnos rather than the current ``acked_seqno``: re-buddying
@@ -743,10 +927,12 @@ class InvariantMonitor:
         re-sync to be acknowledged — the genuine exposure window the
         double-fault sweep's degraded points come from, not a trim bug.
         """
+        if not self.cluster.replication:
+            return  # no replicators, and no replica store is ever filled
         hosts = self.cluster.hosts
         for host in hosts:
             ft = host.ft
-            repl = getattr(ft, "repl", None) if ft is not None else None
+            repl = ft.repl if ft is not None else None
             if repl is None or not host.live or host.recovering:
                 continue
             pid = host.pid
@@ -765,24 +951,33 @@ class InvariantMonitor:
                 self._acked_hwm.get(pid, 0), max(0, repl.acked_seqno)
             )
             self._acked_hwm[pid] = hwm
-            if mgr is not None:
-                for page, copies in mgr.page_copies.items():
-                    if copies and copies[0].ckpt_seqno > hwm:
-                        self._violate(
-                            "recoverability", pid,
-                            f"page {tuple(page)}: oldest retained copy is "
-                            f"from checkpoint {copies[0].ckpt_seqno}, "
-                            f"beyond the highest buddy-acked seqno {hwm} "
-                            "— CGC trimmed state no replica ever held",
-                        )
-                        break
+            if mgr is None:
+                continue
+            stamp = (mgr.gen, hwm)
+            if memo is not None and memo.acked.get(pid) == stamp:
+                continue
+            ok = True
+            for page, copies in mgr.page_copies.items():
+                if copies and copies[0].ckpt_seqno > hwm:
+                    ok = False
+                    self._violate(
+                        "recoverability", pid,
+                        f"page {tuple(page)}: oldest retained copy is "
+                        f"from checkpoint {copies[0].ckpt_seqno}, "
+                        f"beyond the highest buddy-acked seqno {hwm} "
+                        "— CGC trimmed state no replica ever held",
+                    )
+                    break
+            if memo is not None:
+                if ok:
+                    memo.acked[pid] = stamp
+                else:
+                    memo.acked.pop(pid, None)
         # the buddy's side of each chain
         for holder in hosts:
             if not holder.live:
                 continue
-            rstore = getattr(holder, "replica_store", None)
-            if rstore is None:
-                continue
+            rstore = holder.replica_store
             for protected in rstore.protected_pids():
                 st = rstore.store_for(protected)
                 p_host = hosts[protected]
@@ -791,6 +986,11 @@ class InvariantMonitor:
                     p_host.ckpt_mgr.next_seqno - 1
                     if p_live and p_host.ckpt_mgr is not None else None
                 )
+                pair = (holder.pid, protected)
+                stamp = (st.gen, p_latest)
+                if memo is not None and memo.held.get(pair) == stamp:
+                    continue
+                ok = True
                 for key in st.keys():
                     if st.is_pending(key):
                         # torn records are legal mid-transfer and after
@@ -801,6 +1001,7 @@ class InvariantMonitor:
                         # record definitively torn rather than pending)
                         if (final and p_live and p_host.finished
                                 and not self.cluster.network.inflight_msgs):
+                            ok = False
                             self._violate(
                                 "recoverability", holder.pid,
                                 f"replica record {key} of p{protected} "
@@ -809,6 +1010,7 @@ class InvariantMonitor:
                             )
                         continue
                     if p_latest is not None and key[1] > p_latest:
+                        ok = False
                         self._violate(
                             "recoverability", holder.pid,
                             f"holds a committed replica of "
@@ -816,6 +1018,11 @@ class InvariantMonitor:
                             f"p{protected} never committed "
                             f"(latest {p_latest})",
                         )
+                if memo is not None:
+                    if ok:
+                        memo.held[pair] = stamp
+                    else:
+                        memo.held.pop(pair, None)
 
     # ==================================================================
     # lifecycle / reporting

@@ -16,7 +16,32 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.engine import Delay
 
-__all__ = ["DiskConfig", "Disk", "CheckpointStore", "ReplicaStore"]
+__all__ = ["DiskConfig", "Disk", "CheckpointStore", "ReplicaStore", "next_gen"]
+
+
+class _Generations:
+    """The one source of mutation generations.
+
+    Every mutator of a structure the invariant monitor reads (checkpoint
+    stores, checkpoint managers, the rel/acq logs) stamps the structure's
+    ``gen`` with ``next_gen()``. Values are process-wide and increasing,
+    so they never repeat: a verdict memoised on generations cannot be
+    fooled by a structure that recovery replaced with a fresh instance,
+    and an unchanged :attr:`last` means nothing was mutated at all
+    (DESIGN.md §9, "generation contract").
+    """
+
+    __slots__ = ("last",)
+
+    def __init__(self) -> None:
+        self.last = 0
+
+    def __call__(self) -> int:
+        self.last += 1
+        return self.last
+
+
+next_gen = _Generations()
 
 
 @dataclass(frozen=True)
@@ -86,10 +111,13 @@ class CheckpointStore:
         self._data: Dict[Any, Any] = {}
         self._sizes: Dict[Any, int] = {}
         self._pending: set = set()  # keys written without a commit marker
+        #: mutation generation (see :data:`next_gen`)
+        self.gen = next_gen()
 
     def put(self, key: Any, value: Any, size: int) -> None:
         if size < 0:
             raise ValueError("negative object size")
+        self.gen = next_gen()
         self._data[key] = value
         self._sizes[key] = size
         self._pending.discard(key)
@@ -102,6 +130,7 @@ class CheckpointStore:
         """
         if size < 0:
             raise ValueError("negative object size")
+        self.gen = next_gen()
         self._data[key] = value
         self._sizes[key] = size
         self._pending.add(key)
@@ -110,6 +139,7 @@ class CheckpointStore:
         """Write the commit marker for a key staged with ``begin_put``."""
         if key not in self._data:
             raise KeyError(f"commit_put of unknown key {key!r}")
+        self.gen = next_gen()
         self._pending.discard(key)
 
     def is_pending(self, key: Any) -> bool:
@@ -128,6 +158,7 @@ class CheckpointStore:
     def delete(self, key: Any) -> int:
         """Remove ``key``; returns the bytes reclaimed."""
         self._data.pop(key)
+        self.gen = next_gen()
         self._pending.discard(key)
         return self._sizes.pop(key)
 

@@ -114,7 +114,7 @@ def run_fuzz(seed: int, crash: Tuple[int, float] | None, ft: bool = True):
         # when the final memory happens to come out right
         from repro.observe import InvariantMonitor
 
-        monitor = InvariantMonitor(cluster, scan_every=20)
+        monitor = InvariantMonitor(cluster)
     if crash is not None:
         cluster.schedule_crash(crash[0], at_time=crash[1])
     app = FuzzApp(seed)
@@ -147,3 +147,15 @@ def test_fuzz_crash_recovery_exact(seed, frac):
     # final total; additionally the final memory must be bit-identical
     assert np.array_equal(golden_mem, crashed_mem)
     assert res.crashes == res.recoveries
+
+
+# Two crash schedules off the grid above lose updates: recovery
+# completes, yet the final region misses increments and the invariant
+# monitor flags nothing (an open protocol bug, see the ROADMAP). Strict,
+# so a fix shows up as an unexpected pass to promote to a plain test.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lost update after recovery")
+@pytest.mark.parametrize("seed,victim", [(0, 5), (8, 6)])
+def test_fuzz_known_lost_update_schedules(seed, victim):
+    _, golden = run_fuzz(seed, None)
+    run_fuzz(seed, (victim, golden.wall_time * 0.1))

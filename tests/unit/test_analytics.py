@@ -88,7 +88,9 @@ def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
 # committed fixtures load clean (back-compat guarantee)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "path", ["benchmarks/SWEEP_counter.json", "benchmarks/SWEEP_counter_k2.json"]
+    "path",
+    ["tests/fixtures/SWEEP_counter_v1.json",
+     "tests/fixtures/SWEEP_counter_k2_v1.json"],
 )
 def test_committed_v1_sweeps_load_unchanged(path):
     raw = json.load(open(path))

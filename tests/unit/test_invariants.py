@@ -27,11 +27,11 @@ from repro.observe import (
 from tests.conftest import make_app, make_cluster
 
 
-def run_monitored(kind=None, crash=None, num_procs=4, scan_every=1):
+def run_monitored(kind=None, crash=None, num_procs=4):
     """One counter run with the monitor attached; optionally seeded
     with a violation or a scheduled crash. Returns the monitor."""
     cluster = make_cluster(num_procs=num_procs, ft=True)
-    monitor = InvariantMonitor(cluster, scan_every=scan_every)
+    monitor = InvariantMonitor(cluster)
     if kind is not None:
         seed_violation(cluster, kind)
     if crash is not None:
@@ -69,13 +69,6 @@ def test_clean_crash_recovery_run_zero_violations():
     # the failure probe fires *before* the kill, so the dump captures
     # the victim's last pre-crash state (vt still populated)
     assert dump["nodes"][1]["vt"] is not None
-
-
-def test_scan_every_throttles_structural_scan():
-    every = run_monitored(scan_every=1)
-    throttled = run_monitored(scan_every=25)
-    assert 0 < throttled.checks["recoverability"] < every.checks["recoverability"]
-    assert throttled.violations == []
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +131,6 @@ def test_flight_recorder_ring_is_bounded():
 def test_flight_recorder_rejects_bad_ring():
     with pytest.raises(ValueError, match="ring_size"):
         FlightRecorder(ring_size=0)
-    cluster = make_cluster(num_procs=2, ft=True)
-    with pytest.raises(ValueError, match="scan_every"):
-        InvariantMonitor(cluster, scan_every=0)
 
 
 def test_flight_record_mixes_engine_probe_and_message_events():
