@@ -14,7 +14,7 @@ from repro import DsmCluster, DsmConfig
 from repro.baselines import page_logging_cluster
 from repro.core import BarrierCoordinatedPolicy, FtConfig, LogOverflowPolicy
 from repro.harness.experiment import HARNESS_DISK, paper_setups, run_ft
-from repro.metrics.report import Table
+from repro.render import Table
 
 
 def _setup(name):

@@ -44,7 +44,7 @@ when an observer is attached, and costs nothing otherwise:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -103,28 +103,6 @@ def _zipf_cdf(cfg: SessionConfig) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
-def _request_params(
-    cfg: SessionConfig, cdf: np.ndarray, pid: int, r: int
-) -> Tuple[int, int, bool]:
-    """(user, key, is_read) of request ``r`` of process ``pid``.
-
-    Pure function of ``(seed, pid, r)`` — per-request RNG streams are
-    created on the fly (nothing to checkpoint), the kvstore discipline.
-    """
-    rng = np.random.default_rng((cfg.seed, pid, _REQUEST_STREAM, r))
-    u_user, u_aff, u_key, u_rw = rng.random(4)
-    user = int(u_user * cfg.n_users) % cfg.n_users
-    if u_aff < cfg.session_affinity:
-        # sticky home key: a stable pseudo-random cell per (pid, user),
-        # itself zipf-distributed so hot users share hot cells
-        home = np.random.default_rng((cfg.seed, pid, _ARRIVAL_STREAM, user))
-        key = int(np.searchsorted(cdf, home.random()))
-    else:
-        key = int(np.searchsorted(cdf, u_key))
-    key = min(key, cfg.n_keys - 1)
-    return user, key, bool(u_rw < cfg.read_fraction)
-
-
 def _write_delta(pid: int, r: int) -> float:
     """Integer-valued session update (exact in float64, order-free)."""
     return float((pid + r) % 7 + 1)
@@ -136,10 +114,11 @@ class SessionApp(DsmApp):
     def __init__(self, cfg: SessionConfig | None = None) -> None:
         self.cfg = cfg or SessionConfig()
         self._cdf = _zipf_cdf(self.cfg)
-        #: per-pid arrival schedules, derived lazily from the config (not
-        #: run state: pure, so sharing the cache across incarnations and
-        #: replays is safe)
+        #: per-pid arrival schedules and request tables, derived lazily
+        #: from the config (not run state: pure, so sharing the caches
+        #: across incarnations and replays is safe)
         self._arrivals: Dict[int, np.ndarray] = {}
+        self._params: Dict[int, List[Tuple[int, bool]]] = {}
 
     def configure(self, cluster: Any) -> None:
         self.r_sessions = cluster.allocate("sessions", self.cfg.n_keys)
@@ -161,6 +140,46 @@ class SessionApp(DsmApp):
             arr = self._arrivals[pid] = np.cumsum(gaps)
         return arr
 
+    def params(self, pid: int) -> List[Tuple[int, bool]]:
+        """``(key, is_read)`` of every request of process ``pid``.
+
+        Request ``r`` draws ``(u_user, u_aff, u_key, u_rw)`` from its own
+        stream ``(seed, pid, 202, r)``. With probability
+        ``session_affinity`` it touches the user's sticky home key — a
+        stable zipf-distributed cell per ``(pid, user)`` drawn from stream
+        ``(seed, pid, 101, user)`` so hot users share hot cells — and
+        otherwise the zipf key ``u_key`` picks. Built on first use, in
+        ``run``, so setting a cluster up stays cheap.
+        """
+        table = self._params.get(pid)
+        if table is None:
+            cfg = self.cfg
+            n = cfg.steps * cfg.requests_per_step
+            u = np.array(
+                [
+                    np.random.default_rng(
+                        (cfg.seed, pid, _REQUEST_STREAM, r)
+                    ).random(4)
+                    for r in range(n)
+                ]
+            ).reshape(n, 4)
+            users = (u[:, 0] * cfg.n_users).astype(np.int64) % cfg.n_users
+            keys = np.searchsorted(self._cdf, u[:, 2])
+            sticky = u[:, 1] < cfg.session_affinity
+            home: Dict[int, int] = {}
+            for r in np.flatnonzero(sticky).tolist():
+                user = int(users[r])
+                if user not in home:
+                    rng = np.random.default_rng(
+                        (cfg.seed, pid, _ARRIVAL_STREAM, user)
+                    )
+                    home[user] = int(np.searchsorted(self._cdf, rng.random()))
+                keys[r] = home[user]
+            keys = np.minimum(keys, cfg.n_keys - 1)
+            is_read = u[:, 3] < cfg.read_fraction
+            table = self._params[pid] = list(zip(keys.tolist(), is_read.tolist()))
+        return table
+
     def _stripe(self, key: int) -> int:
         return key * self.cfg.n_stripes // self.cfg.n_keys
 
@@ -168,6 +187,7 @@ class SessionApp(DsmApp):
     def run(self, proc: DsmProcess, state: Dict[str, Any]) -> Iterator[Any]:
         cfg = self.cfg
         arrivals = self.arrivals(proc.pid)
+        params = self.params(proc.pid)
 
         def phase_serve(proc: DsmProcess, state: Dict, step: int) -> Iterator[Any]:
             for i in range(cfg.requests_per_step):
@@ -180,7 +200,7 @@ class SessionApp(DsmApp):
                     # and span reconciliation stay exact
                     yield Delay(arrival - now)
                 service_start = proc.engine.now
-                _user, key, is_read = _request_params(cfg, self._cdf, proc.pid, r)
+                key, is_read = params[r]
                 stripe = self._stripe(key)
                 yield from proc.acquire(stripe)
                 if is_read:
@@ -210,8 +230,7 @@ class SessionApp(DsmApp):
         cfg = self.cfg
         total = 0.0
         for pid in range(num_procs):
-            for r in range(cfg.steps * cfg.requests_per_step):
-                _user, _key, is_read = _request_params(cfg, self._cdf, pid, r)
+            for r, (_key, is_read) in enumerate(self.params(pid)):
                 if not is_read:
                     total += _write_delta(pid, r)
         return total

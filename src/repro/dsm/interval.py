@@ -37,6 +37,8 @@ class NoticeTable:
         # (insertion-ordered; the page key dedups)
         self._intervals: Dict[int, List[int]] = {}
         self._by_interval: Dict[int, Dict[int, Dict[PageId, WriteNotice]]] = {}
+        #: notices held, kept by the two mutators so ``count`` is O(1)
+        self._count = 0
 
     def add(self, notice: WriteNotice) -> bool:
         """Insert a notice; returns False if already known."""
@@ -78,6 +80,7 @@ class NoticeTable:
             if wn.page not in bucket:
                 bucket[wn.page] = wn
                 new.append(wn)
+        self._count += len(new)
         return new
 
     def between(self, low: VClock, high: VClock) -> List[WriteNotice]:
@@ -133,12 +136,11 @@ class NoticeTable:
         for k in range(cut):
             dropped += len(table.pop(ivs[k]))
         del ivs[:cut]
+        self._count -= dropped
         return dropped
 
     def count(self) -> int:
-        return sum(
-            len(b) for table in self._by_interval.values() for b in table.values()
-        )
+        return self._count
 
     def all_notices(self) -> List[WriteNotice]:
         """Every notice, by creator, then in insertion order."""

@@ -1,7 +1,7 @@
 """Regeneration of the paper's Tables 1-4 (§5).
 
 Each function runs the required experiments (or reuses supplied results)
-and returns a :class:`~repro.metrics.report.Table` whose rows mirror the
+and returns a :class:`~repro.render.Table` whose rows mirror the
 paper's columns, with the paper's reported values alongside where they
 exist. Absolute numbers differ (scaled problems, simulated hardware);
 the *shape* — which app pays most, roughly what percentages, Wmax ≤ 3,

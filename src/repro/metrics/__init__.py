@@ -1,5 +1,1 @@
-"""Measurement collection and report formatting for the experiments."""
-
-from repro.render import Table, ascii_series, format_bytes, format_pct
-
-__all__ = ["Table", "ascii_series", "format_bytes", "format_pct"]
+"""Measurement collection for the experiments (``repro bench``)."""

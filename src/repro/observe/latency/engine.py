@@ -31,7 +31,7 @@ estimate are exactly order-invariant.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "LatencyHistogram",
@@ -133,22 +133,29 @@ class LatencyHistogram:
     # accumulation
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
+        self._file(*self._locate(value))
+
+    def _locate(self, value: float) -> Tuple[float, Optional[int]]:
+        """``(value, bucket index)``; the index is None for an exact zero."""
         value = float(value)
         if value < 0.0:
             # virtual durations are differences of a monotone clock;
             # clamp defensive float dust rather than corrupting buckets
             value = 0.0
+        return value, (self.bucket_index(value) if value else None)
+
+    def _file(self, value: float, index: Optional[int]) -> None:
+        """Count a clamped ``value`` into bucket ``index`` (None: a zero)."""
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        if value == 0.0:
+        if index is None:
             self.zero_count += 1
-            return
-        i = self.bucket_index(value)
-        self.buckets[i] = self.buckets.get(i, 0) + 1
+        else:
+            self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def merge_from(self, other: "LatencyHistogram") -> None:
         """Add ``other``'s counts into this histogram (elementwise)."""

@@ -28,7 +28,7 @@ Schema history: 1 = header/series/hist/summary; 2 adds ``lat`` records
 (DESIGN.md §13). Readers accept all three.
 
 Rendering reuses the repo's ASCII reporting layer
-(:mod:`repro.metrics.report`), so Figure 4-style curves and overview
+(:mod:`repro.render`), so Figure 4-style curves and overview
 tables come out of the same pipeline the paper harness uses.
 """
 

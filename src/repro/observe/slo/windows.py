@@ -27,7 +27,7 @@ the recovery degradation timeline.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.observe.latency.engine import (
     DEFAULT_BASE,
@@ -37,11 +37,18 @@ from repro.observe.latency.engine import (
 
 __all__ = ["WindowedLatency", "merge_windowed"]
 
+#: pending observations a histogram holds before filing them into their
+#: windows. Most windows see only a few observations (about 1.6 on the
+#: 8-process serving benchmark), so a record per observation is smaller
+#: than a histogram per window; the cap bounds the records when windows
+#: are dense and nothing reads them
+MAX_UNFILED = 4096
+
 
 class WindowedLatency(LatencyHistogram):
     """A latency histogram that also rotates into virtual-time windows."""
 
-    __slots__ = ("clock", "window_s", "windows")
+    __slots__ = ("clock", "window_s", "_windows", "_unfiled")
 
     def __init__(
         self,
@@ -59,8 +66,10 @@ class WindowedLatency(LatencyHistogram):
             raise ValueError(f"window_s must be positive: {window_s}")
         self.clock = clock
         self.window_s = window_s
-        #: {window index: histogram of observations made in that window}
-        self.windows: Dict[int, LatencyHistogram] = {}
+        self._windows: Dict[int, LatencyHistogram] = {}
+        #: (window index, value, bucket index) of each observation not yet
+        #: filed into its window histogram, in observation order
+        self._unfiled: List[Tuple[int, float, Optional[int]]] = []
 
     def window_index(self, t: float) -> int:
         return int(t // self.window_s)
@@ -69,14 +78,32 @@ class WindowedLatency(LatencyHistogram):
         return index * self.window_s, (index + 1) * self.window_s
 
     def observe(self, value: float) -> None:
-        super().observe(value)
-        w = self.window_index(self.clock())
-        h = self.windows.get(w)
-        if h is None:
-            h = self.windows[w] = LatencyHistogram(
-                self.name, self.node, base=self.base, growth=self.growth
-            )
-        h.observe(value)
+        # the total and the window share one geometry, so one bucket
+        # lookup serves both; the window is fixed now, by the clock
+        value, index = self._locate(value)
+        self._file(value, index)
+        unfiled = self._unfiled
+        unfiled.append((self.window_index(self.clock()), value, index))
+        if len(unfiled) >= MAX_UNFILED:
+            self._file_windows()
+
+    @property
+    def windows(self) -> Dict[int, LatencyHistogram]:
+        """{window index: histogram of observations made in that window}."""
+        self._file_windows()
+        return self._windows
+
+    def _file_windows(self) -> None:
+        """File the pending observations into their windows, in order."""
+        windows = self._windows
+        for w, value, index in self._unfiled:
+            h = windows.get(w)
+            if h is None:
+                h = windows[w] = LatencyHistogram(
+                    self.name, self.node, base=self.base, growth=self.growth
+                )
+            h._file(value, index)
+        self._unfiled.clear()
 
     def merged_windows(self) -> LatencyHistogram:
         """All windows merged back into one histogram (== the total)."""

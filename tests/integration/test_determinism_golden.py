@@ -15,6 +15,8 @@ Two layers of protection:
   speed.
 """
 
+import hashlib
+
 import pytest
 
 from tests.conftest import make_app, make_cluster
@@ -321,3 +323,70 @@ def test_golden_unchanged_with_monitor_attached():
     # and the monitor did actually monitor
     for kind in INVARIANTS:
         assert monitor.checks[kind] > 0, f"{kind} never checked"
+
+
+def _window_rows(registry):
+    """Every window of every windowed histogram, exactly.
+
+    Per ``(name, node, window)``: the count, zero count, sparse buckets
+    and the min/max as float hex, in sorted order.
+    """
+    return [
+        (name, node, w, wh.count, wh.zero_count, sorted(wh.buckets.items()),
+         wh.min.hex(), wh.max.hex())
+        for name in registry.latency_names()
+        for node, h in registry.latencies_by_name(name).items()
+        for w, wh in sorted(h.windows.items())
+    ]
+
+
+#: the serving path with its whole FT and observability stack on: session
+#: at 8 processes, buddy replication, windowed latency at 1 ms and a p1
+#: fail-stop halfway through its arrival schedule. Recorded before the
+#: request table and the single-lookup windowed observation landed
+SERVING_GOLDEN = {
+    "wall_time_hex": "0x1.28c73bc6ccdf9p-2",
+    "recoveries": 1,
+    "bytes_by_category": {
+        "barrier": 40210, "diff": 26688, "lock": 496124, "page": 886444,
+        "recovery": 16869, "replica": 702072,
+    },
+    "msgs_by_category": {
+        "barrier": 336, "diff": 325, "lock": 6368, "page": 1516,
+        "recovery": 51, "replica": 6414,
+    },
+    "notices_applied": 2445,
+    "windows": 4905,
+    "window_digest":
+        "423bfc03d57ad2324d3a9347a5224509990a46413d7a33a1f3ac818946fecee6",
+}
+
+
+def run_serving():
+    from repro.apps.session import SessionApp, SessionConfig
+    from repro.core import FtConfig
+    from repro.observe import ClusterObserver
+
+    app = SessionApp(
+        SessionConfig(steps=24, requests_per_step=8, rate=1500.0, seed=1)
+    )
+    cluster = make_cluster(8, ft=True, ft_config=FtConfig(replicate=True))
+    observer = ClusterObserver(cluster, window_s=1e-3)
+    cluster.schedule_crash(1, 0.5 * float(app.arrivals(1)[-1]))
+    result = cluster.run(app)
+    traffic = result.traffic
+    protos = [h.proto for h in cluster.hosts]
+    rows = _window_rows(observer.registry)
+    return {
+        "wall_time_hex": result.wall_time.hex(),
+        "recoveries": result.recoveries,
+        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
+        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
+        "notices_applied": sum(p.stats.notices_applied for p in protos),
+        "windows": len(rows),
+        "window_digest": hashlib.sha256(repr(rows).encode()).hexdigest(),
+    }
+
+
+def test_matches_serving_golden():
+    assert run_serving() == SERVING_GOLDEN

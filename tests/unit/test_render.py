@@ -155,14 +155,3 @@ def test_ascii_histogram_single_bucket_centered():
     bar = bar_line.split("|")[1]
     assert bar.startswith(" ") and "43" in bar_line
     assert bar_line.count("#") < 40
-
-
-def test_metrics_report_compat_reexport():
-    # repro.metrics.report remains as a compatibility alias; the objects
-    # must be the same, not parallel copies
-    from repro.metrics import report as compat
-
-    assert compat.Table is Table
-    assert compat.ascii_series is ascii_series
-    assert compat.format_bytes is format_bytes
-    assert compat.format_pct is format_pct
