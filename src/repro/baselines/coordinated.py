@@ -48,6 +48,7 @@ from repro.core.checkpoint import Checkpoint
 from repro.core.ftmanager import FtConfig, FtManager
 from repro.core.policies import LogOverflowPolicy
 from repro.dsm.config import DsmConfig
+from repro.dsm.interval import records_of
 from repro.dsm.messages import Message
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
@@ -295,7 +296,8 @@ class CoordinatedFt(FtManager):
                 m.next_episode,
                 m.last_global,
                 dict(m.current.arrived) if m.current else None,
-                list(m.current.notices) if m.current else [],
+                [wn for rec in m.current.records for wn in rec]
+                if m.current else [],
                 m.current.episode if m.current else None,
             )
         return {
@@ -528,7 +530,7 @@ def _restore_round(host: Any, round_id: int) -> None:
         if arrived is not None:
             ep = BarrierEpisode(cur_ep)
             ep.arrived = dict(arrived)
-            ep.notices = list(notices)
+            ep.records = records_of(notices)
             m.current = ep
 
 

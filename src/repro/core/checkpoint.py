@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.logs import DiffLogEntry
-from repro.dsm.messages import WriteNotice
+from repro.dsm.messages import NoticeRecord, notice_count
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 from repro.sim.storage import CheckpointStore, next_gen
@@ -50,7 +50,8 @@ class Checkpoint:
     seqno: int
     tckp: VClock
     app_state_blob: bytes
-    own_notices: List[WriteNotice]
+    #: own interval records (the saved wn_log)
+    own_notices: List[NoticeRecord]
     diff_log: Dict[PageId, List[DiffLogEntry]]
     lock_tokens: Dict[int, Tuple[bool, bool]]  # lock -> (has_token, held)
     acq_seq: Dict[int, int]
@@ -65,7 +66,7 @@ class Checkpoint:
     def size_bytes(self, page_bytes: int, log_bytes: int) -> int:
         meta = (
             len(self.tckp) * 4
-            + len(self.own_notices) * 16
+            + notice_count(self.own_notices) * 16
             + len(self.lock_tokens) * 6
             + len(self.acq_seq) * 8
             + 64

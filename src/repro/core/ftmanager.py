@@ -265,9 +265,10 @@ class FtManager(FtHooks):
             return None
         adverts: Tuple[Tuple[PageId, int], ...] = ()
         pending = self.pending_adverts.get(dst)
-        if not pending and self._sent_gen.get(dst) == self.trim.gen:
-            # nothing learned since the last scan for this destination:
-            # the delta loop below would find every entry already sent
+        if not pending and self._sent_gen.get(dst, 0) == self.trim.gen:
+            # nothing learned since the last scan for this destination (a
+            # destination never sent to is synced at gen 0): the delta
+            # loop below would find every entry already sent
             return None
         if pending:
             k = self.config.piggyback_max_page_versions

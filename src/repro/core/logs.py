@@ -56,44 +56,46 @@ REL_ENTRY_BYTES = 8
 class RelLog:
     """Grants made by this process, bucketed per acquirer.
 
-    ``gen`` is a mutation generation (:data:`~repro.sim.storage.next_gen`)
-    stamped afresh by every mutation, and ``bucket_gen[i]`` is the
-    generation of the last mutation of ``entries[i]``. Mutate ``entries``
-    only through the methods below.
+    A bucket is created on its first append and dropped once trimmed
+    empty, so a process pays only for the peers it granted to; readers
+    use ``entries.get(acquirer, ())``. ``gen`` is a mutation generation
+    (:data:`~repro.sim.storage.next_gen`) stamped afresh by every
+    mutation, and ``bucket_gen[i]`` is the generation of the last
+    mutation of acquirer ``i``'s bucket. Mutate ``entries`` only through
+    the methods below.
     """
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
-        self.entries: List[List[RelEntry]] = [[] for _ in range(num_procs)]
+        self.entries: Dict[int, List[RelEntry]] = {}
         self.gen = next_gen()
         self.bucket_gen = [self.gen] * num_procs
 
     def append(self, acquirer: int, lock_id: int, acq_t: VClock) -> None:
         self.gen = self.bucket_gen[acquirer] = next_gen()
-        self.entries[acquirer].append(RelEntry(lock_id, acq_t))
+        self.entries.setdefault(acquirer, []).append(RelEntry(lock_id, acq_t))
 
     def for_acquirer(self, acquirer: int) -> List[RelEntry]:
-        return list(self.entries[acquirer])
+        return list(self.entries.get(acquirer, ()))
 
     def trim(self, acquirer: int, tckp_component: int) -> int:
         """Rule 2: keep entries with ``acq_t[acquirer] > Tckp_acquirer[acquirer]``."""
-        old = self.entries[acquirer]
+        old = self.entries.get(acquirer, ())
         kept = [e for e in old if e.acq_t[acquirer] > tckp_component]
         if len(kept) < len(old):
             self.gen = self.bucket_gen[acquirer] = next_gen()
-            self.entries[acquirer] = kept
+            _replace(self.entries, acquirer, kept)
         return len(old) - len(kept)
 
     def restore_for(self, acquirer: int, entries: Iterable[RelEntry]) -> None:
         self.gen = self.bucket_gen[acquirer] = next_gen()
-        self.entries[acquirer] = list(entries)
+        _replace(self.entries, acquirer, list(entries))
 
     def clear(self) -> None:
         """Drop every entry (a coordinated commit obsoletes them all)."""
         self.gen = next_gen()
         self.bucket_gen = [self.gen] * self.n
-        for i in range(self.n):
-            self.entries[i] = []
+        self.entries.clear()
 
     def confirm(
         self, acquirer: int, lock_id: int, actual_t: VClock, own_pid: int
@@ -107,7 +109,7 @@ class RelLog:
         when the entry was already trimmed under Rule 2 (the acquirer
         checkpointed past it — nothing left to fix).
         """
-        lst = self.entries[acquirer]
+        lst = self.entries.get(acquirer, ())
         comp = actual_t[own_pid]
         for i in range(len(lst) - 1, -1, -1):
             e = lst[i]
@@ -119,31 +121,29 @@ class RelLog:
         return False
 
     def count(self) -> int:
-        return sum(len(e) for e in self.entries)
+        return sum(map(len, self.entries.values()))
 
 
 class AcqLog:
     """This process's own remote acquires, bucketed per grantor (mirror).
 
-    ``gen`` and ``bucket_gen`` as for :class:`RelLog`.
+    Buckets, ``gen`` and ``bucket_gen`` as for :class:`RelLog`: the keys
+    of ``entries`` are exactly the grantors with entries, which the trim
+    pass and the invariant monitor visit instead of all N.
     """
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
-        self.entries: List[List[RelEntry]] = [[] for _ in range(num_procs)]
-        #: grantors with entries — the trim pass and the invariant
-        #: monitor visit only these instead of scanning all N buckets
-        self.nonempty: set = set()
+        self.entries: Dict[int, List[RelEntry]] = {}
         self.gen = next_gen()
         self.bucket_gen = [self.gen] * num_procs
 
     def append(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
         self.gen = self.bucket_gen[grantor] = next_gen()
-        self.entries[grantor].append(RelEntry(lock_id, acq_t))
-        self.nonempty.add(grantor)
+        self.entries.setdefault(grantor, []).append(RelEntry(lock_id, acq_t))
 
     def for_grantor(self, grantor: int) -> List[RelEntry]:
-        return list(self.entries[grantor])
+        return list(self.entries.get(grantor, ()))
 
     def trim(self, own_pid: int, own_tckp_component: int) -> int:
         """Rule 2: keep entries with ``acq_t[self] > Tckp_self[self]``.
@@ -153,15 +153,13 @@ class AcqLog:
         """
         changed = []
         dropped = 0
-        for g in sorted(self.nonempty):
+        for g in sorted(self.entries):
             old = self.entries[g]
             kept = [e for e in old if e.acq_t[own_pid] > own_tckp_component]
             if len(kept) < len(old):
                 changed.append(g)
                 dropped += len(old) - len(kept)
-                self.entries[g] = kept
-                if not kept:
-                    self.nonempty.discard(g)
+                _replace(self.entries, g, kept)
         if changed:
             self.gen = next_gen()
             for g in changed:
@@ -172,12 +170,20 @@ class AcqLog:
         """Drop every entry (a coordinated commit obsoletes them all)."""
         self.gen = next_gen()
         self.bucket_gen = [self.gen] * self.n
-        for i in range(self.n):
-            self.entries[i] = []
-        self.nonempty.clear()
+        self.entries.clear()
 
     def count(self) -> int:
-        return sum(len(e) for e in self.entries)
+        return sum(map(len, self.entries.values()))
+
+
+def _replace(
+    buckets: Dict[int, List[RelEntry]], peer: int, entries: List[RelEntry]
+) -> None:
+    """Set a peer's bucket, dropping it when empty."""
+    if entries:
+        buckets[peer] = entries
+    else:
+        buckets.pop(peer, None)
 
 
 @dataclass

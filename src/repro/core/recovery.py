@@ -50,6 +50,7 @@ from repro.dsm.messages import (
     RecoveryQuery,
     RecoveryReply,
     WriteNotice,
+    notice_count,
 )
 from repro.dsm.pages import PageEntry, PageId, PageState
 from repro.dsm.protocol import DsmProcess
@@ -178,7 +179,7 @@ class RecoveryResponder:
         }
         size = (
             (len(rel_entries) + len(acq_mirror)) * REL_ENTRY_WIRE
-            + len(wn) * NOTICE_WIRE
+            + notice_count(wn) * NOTICE_WIRE
             + sum(len(v) for v in self_grants.values()) * VT_WIRE
             + (len(bar_history) + len(bar_mirror)) * VT_WIRE
             + len(tokens) * 8
@@ -542,8 +543,7 @@ class RecoveryManager:
             hp.drop_snapshot()
             proto.have_v[page] = version
         # own write notices
-        for wn in ckpt.own_notices:
-            proto.notices.add(wn)
+        proto.notices.add_all(ckpt.own_notices)
         # saved diff log
         for page, entries in ckpt.diff_log.items():
             for e in entries:
@@ -649,8 +649,7 @@ class ReplayDriver:
                     self.departures[entry.lock_id] = (
                         self.departures.get(entry.lock_id, 0) + 1
                     )
-            for wn in payload["wn"]:
-                self.peer_notices.add(wn)
+            self.peer_notices.add_all(payload["wn"])
             for lock_id, entries in payload["self_grants"].items():
                 for acq_t in entries:
                     if acq_t[me] > self.tckp[me]:

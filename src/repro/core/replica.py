@@ -37,7 +37,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.logs import RelEntry
-from repro.dsm.messages import ReplicaAck, ReplicaUpdate, WriteNotice
+from repro.dsm.interval import records_of
+from repro.dsm.messages import (
+    ReplicaAck,
+    ReplicaUpdate,
+    WriteNotice,
+    notice_count,
+)
 
 __all__ = ["ReplicaRecord", "Replicator", "replica_apply", "serve_replica_query"]
 
@@ -89,15 +95,15 @@ def build_base(
     pid = ft.pid
     rel = [
         (acquirer, e.lock_id, e.acq_t)
-        for acquirer, entries in enumerate(ft.logs.rel.entries)
+        for acquirer, entries in sorted(ft.logs.rel.entries.items())
         for e in entries
     ]
     acq = [
         (grantor, e.lock_id, e.acq_t)
-        for grantor, entries in enumerate(ft.logs.acq.entries)
+        for grantor, entries in sorted(ft.logs.acq.entries.items())
         for e in entries
     ]
-    wn = list(proc.notices.own_after(pid, 0))
+    wn = proc.notices.own_after(pid, 0)
     mirror_self: Dict[int, Dict[int, List[Any]]] = {}
     for lock_id in proc.locks.managed_locks():
         mgr = proc.locks.manager(lock_id)
@@ -147,7 +153,7 @@ def build_base(
     }
     size = (
         (len(rel) + len(acq)) * _REL_WIRE
-        + len(wn) * _NOTICE_WIRE
+        + notice_count(wn) * _NOTICE_WIRE
         + sum(
             len(v) for locks in mirror_self.values() for v in locks.values()
         )
@@ -429,7 +435,7 @@ def _view(rec: ReplicaRecord, protected: int) -> Dict[str, Any]:
     base = rec.base
     rel = [list(t) for t in base["rel"]]
     acq = list(base["acq"])
-    wn = list(base["wn"])
+    own_tail: List[WriteNotice] = []  # own notices the op tail adds
     mirror_self = {
         g: {l: list(v) for l, v in locks.items()}
         for g, locks in base["mirror_self"].items()
@@ -478,13 +484,13 @@ def _view(rec: ReplicaRecord, protected: int) -> Dict[str, Any]:
             # a diff-log append and its 1:1 own write notice
             _, page, d, t = op
             diff.setdefault(page, []).append((t, d))
-            wn.append(WriteNotice(protected, t[protected], page, t))
+            own_tail.append(WriteNotice(protected, t[protected], page, t))
         elif kind == "owner":
             owners[op[1]] = op[2]
     return {
         "rel": rel,
         "acq": acq,
-        "wn": wn,
+        "wn": base["wn"] + records_of(own_tail),
         "mirror_self": mirror_self,
         "bar_history": dict(base["bar_history"]),
         "bar_mirror": bar_mirror,
@@ -541,7 +547,7 @@ def serve_replica_query(
         }
         size = (
             (len(rel_entries) + len(acq_mirror)) * _REL_WIRE
-            + len(payload["wn"]) * _NOTICE_WIRE
+            + notice_count(payload["wn"]) * _NOTICE_WIRE
             + sum(len(v) for v in self_grants.values()) * _VT_WIRE
             + (len(payload["bar_history"]) + len(payload["bar_mirror"]))
             * _VT_WIRE

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.dsm.messages import WriteNotice
+from repro.dsm.messages import NoticeRecord
 from repro.dsm.vclock import VClock, vmax
 
 __all__ = ["BarrierManagerState", "BarrierEpisode"]
@@ -25,15 +25,16 @@ class BarrierEpisode:
 
     episode: int
     arrived: Dict[int, VClock] = field(default_factory=dict)
-    notices: List[WriteNotice] = field(default_factory=list)
+    #: the arrivals' interval records, in arrival order
+    records: List[NoticeRecord] = field(default_factory=list)
 
-    def arrive(self, proc: int, vt: VClock, notices: List[WriteNotice]) -> None:
+    def arrive(self, proc: int, vt: VClock, records: List[NoticeRecord]) -> None:
         if proc in self.arrived:
             raise RuntimeError(
                 f"process {proc} arrived twice at barrier episode {self.episode}"
             )
         self.arrived[proc] = vt
-        self.notices.extend(notices)
+        self.records.extend(records)
 
     def complete(self, n: int) -> bool:
         return len(self.arrived) == n
@@ -62,7 +63,7 @@ class BarrierManagerState:
         self.history: Dict[int, VClock] = {}
 
     def arrive(
-        self, proc: int, episode: int, vt: VClock, notices: List[WriteNotice]
+        self, proc: int, episode: int, vt: VClock, records: List[NoticeRecord]
     ) -> Optional[BarrierEpisode]:
         """Record an arrival; returns the episode if it just completed."""
         if episode != self.next_episode:
@@ -71,7 +72,7 @@ class BarrierManagerState:
             )
         if self.current is None:
             self.current = BarrierEpisode(episode)
-        self.current.arrive(proc, vt, notices)
+        self.current.arrive(proc, vt, records)
         if self.current.complete(self.n):
             done = self.current
             self.current = None

@@ -7,118 +7,162 @@ lock grants and barrier releases. Notices are indexed by creator and
 interval so that the happened-before filtering of lazy release consistency
 (send exactly the notices in intervals ``(acq_vt[c], rel_vt[c]]``) is a
 range query.
+
+The unit of storage and of shipping is the *interval record*: the tuple
+of notices one creator made in one interval, in flush order, at most one
+per page. The writer builds it as its interval flushes, and grants,
+barrier arrivals and releases, recovery handshakes, checkpoints and
+replica syncs carry that same tuple, so every table that learns an
+interval holds the writer's object by reference (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterable, List
 
 import numpy as np
 
-from repro.dsm.messages import WriteNotice
-from repro.dsm.pages import PageId
+from repro.dsm.messages import NoticeRecord, WriteNotice
 from repro.dsm.vclock import VClock
 
-__all__ = ["NoticeTable"]
+__all__ = ["NoticeTable", "records_of"]
+
+
+def records_of(notices: Iterable[WriteNotice]) -> List[NoticeRecord]:
+    """Group a flat notice sequence into interval records: one record per
+    run of one (creator, interval), keeping the first notice per page."""
+    out: List[NoticeRecord] = []
+    run: List[WriteNotice] = []
+    for wn in notices:
+        if run and (wn.creator, wn.interval) != (run[0].creator, run[0].interval):
+            out.append(tuple(run))
+            run = []
+        if all(held.page != wn.page for held in run):
+            run.append(wn)
+    if run:
+        out.append(tuple(run))
+    return out
 
 
 class NoticeTable:
-    """Per-process store of write notices, indexed by (creator, interval).
+    """Per-process store of interval records, indexed by (creator, interval).
 
-    A creator's containers are created on its first notice, so an empty
-    table costs the same at every cluster size and a process pays only
-    for the creators it hears from.
+    One flat dict holds every record, keyed by ``interval * n + creator``
+    (unique because ``creator < n``); two scalar bounds per creator
+    (every held interval of ``c`` lies in ``[low[c], high[c]]``) turn the
+    range queries into walks over that key range. The table owns no
+    per-creator or per-interval container, so its size in objects does
+    not grow with the number of creators heard from, and it stores the
+    records it is given without copying them.
     """
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
-        # creator -> sorted intervals; creator -> interval -> page -> notice
-        # (insertion-ordered; the page key dedups)
-        self._intervals: Dict[int, List[int]] = {}
-        self._by_interval: Dict[int, Dict[int, Dict[PageId, WriteNotice]]] = {}
+        self._records: Dict[int, NoticeRecord] = {}
+        self._low: Dict[int, int] = {}
+        self._high: Dict[int, int] = {}
         #: notices held, kept by the two mutators so ``count`` is O(1)
         self._count = 0
 
     def add(self, notice: WriteNotice) -> bool:
-        """Insert a notice; returns False if already known."""
-        return bool(self.add_all((notice,)))
+        """Insert one notice; returns False if already known.
+
+        The interval's record grows by replacement, never in place: a
+        message that already carries the shorter record keeps exactly the
+        pages it was sent with.
+        """
+        return bool(self.add_all(((notice,),)))
 
     def add_all(
-        self, notices: Iterable[WriteNotice], skip_creator: int = -1
+        self, records: Iterable[NoticeRecord], skip_creator: int = -1
     ) -> List[WriteNotice]:
-        """Insert many, in order, skipping ``skip_creator``'s own notices;
-        returns the ones that were new.
+        """Insert many records, in order, skipping ``skip_creator``'s own;
+        returns the notices that were new, in order.
 
-        An interval arriving in order is appended to its creator's sorted
-        list; only an out-of-order one pays for an ``insort``. Notices of
-        one (creator, interval) arrive together, so the bucket is looked
-        up once per run of them.
+        A record for an interval not yet held is stored as is. Another
+        copy of a held interval (a partial one followed by its longer
+        copy, or a duplicate) adds only the pages not yet held, appended
+        in order to a new record.
         """
-        by_interval = self._by_interval
+        table = self._records
+        low, high = self._low, self._high
+        n = self.n
         new: List[WriteNotice] = []
-        creator = interval = -1
-        bucket: Dict[PageId, WriteNotice] = {}
-        for wn in notices:
-            c = wn.creator
+        for rec in records:
+            first = rec[0]
+            c = first.creator
             if c == skip_creator:
                 continue
-            if c != creator or wn.interval != interval:
-                creator, interval = c, wn.interval
-                table = by_interval.get(c)
-                if table is None:
-                    table = by_interval[c] = {}
-                    self._intervals[c] = []
-                bucket = table.get(interval)
-                if bucket is None:
-                    bucket = table[interval] = {}
-                    ivs = self._intervals[c]
-                    if ivs and interval < ivs[-1]:
-                        insort(ivs, interval)
-                    else:
-                        ivs.append(interval)
-            if wn.page not in bucket:
-                bucket[wn.page] = wn
-                new.append(wn)
+            interval = first.interval
+            key = interval * n + c
+            held = table.get(key)
+            if held is None:
+                table[key] = rec
+                new += rec
+                lo = low.get(c)
+                if lo is None:
+                    low[c] = high[c] = interval
+                else:
+                    # after a trim past every held interval, low > high
+                    if interval < lo:
+                        low[c] = interval
+                    if interval > high[c]:
+                        high[c] = interval
+            elif held is not rec:
+                pages = {wn.page for wn in held}
+                fresh = [wn for wn in rec if wn.page not in pages]
+                if fresh:
+                    table[key] = held + tuple(fresh)
+                    new += fresh
         self._count += len(new)
         return new
 
-    def between(self, low: VClock, high: VClock) -> List[WriteNotice]:
-        """Notices with ``low[c] < interval <= high[c]`` for their creator.
+    def between(
+        self, low: VClock, high: VClock, skip_creator: int = -1
+    ) -> List[NoticeRecord]:
+        """Records with ``low[c] < interval <= high[c]`` for their creator,
+        by creator, then by interval; ``skip_creator``'s are left out.
 
         This is exactly the happened-before set a lock grantor with release
         time ``high`` must send to an acquirer at time ``low``.
         """
-        out: List[WriteNotice] = []
+        out: List[NoticeRecord] = []
         if self.n >= VClock.ARRAY_WIDTH:
             # wide clusters: find the (typically few) creators whose range
             # is non-empty in one vectorized compare instead of an O(n)
             # Python scan per grant
             la, ha = low.as_array(), high.as_array()
             for c in np.flatnonzero(ha > la).tolist():
-                self._extend(out, c, int(la[c]), int(ha[c]))
+                if c != skip_creator:
+                    self._extend(out, c, int(la[c]), int(ha[c]))
             return out
         for c in range(self.n):
             lo, hi = low[c], high[c]
-            if hi > lo:
+            if hi > lo and c != skip_creator:
                 self._extend(out, c, lo, hi)
         return out
 
-    def _extend(self, out: List[WriteNotice], creator: int, lo: int, hi: int) -> None:
-        """Append ``creator``'s notices with ``lo < interval <= hi``."""
-        ivs = self._intervals.get(creator)
-        if not ivs:
+    def _extend(
+        self, out: List[NoticeRecord], creator: int, lo: int, hi: int
+    ) -> None:
+        """Append ``creator``'s records with ``lo < interval <= hi``."""
+        first = self._low.get(creator)
+        if first is None:
             return
-        table = self._by_interval[creator]
-        for k in range(bisect_right(ivs, lo), bisect_right(ivs, hi)):
-            out.extend(table[ivs[k]].values())
+        table, n = self._records, self.n
+        for interval in range(
+            max(lo + 1, first), min(hi, self._high[creator]) + 1
+        ):
+            rec = table.get(interval * n + creator)
+            if rec is not None:
+                out.append(rec)
 
-    def own_after(self, creator: int, min_interval: int) -> List[WriteNotice]:
-        """Notices created by ``creator`` in intervals > ``min_interval``."""
-        out: List[WriteNotice] = []
-        ivs = self._intervals.get(creator)
-        if ivs:
-            self._extend(out, creator, min_interval, ivs[-1])
+    def own_after(self, creator: int, min_interval: int) -> List[NoticeRecord]:
+        """Records of ``creator`` in intervals > ``min_interval``."""
+        out: List[NoticeRecord] = []
+        last = self._high.get(creator)
+        if last is not None:
+            self._extend(out, creator, min_interval, last)
         return out
 
     def trim_creator_before(self, creator: int, min_keep_interval: int) -> int:
@@ -127,15 +171,18 @@ class NoticeTable:
         Implements Rule 1 (wn_log trimming) when applied to the process's
         own notices. Returns the number of notices dropped.
         """
-        ivs = self._intervals.get(creator)
-        if not ivs:
+        first = self._low.get(creator)
+        if first is None or min_keep_interval <= first:
             return 0
-        table = self._by_interval[creator]
-        cut = bisect_left(ivs, min_keep_interval)
+        table, n = self._records, self.n
         dropped = 0
-        for k in range(cut):
-            dropped += len(table.pop(ivs[k]))
-        del ivs[:cut]
+        for interval in range(
+            first, min(min_keep_interval, self._high[creator] + 1)
+        ):
+            rec = table.pop(interval * n + creator, None)
+            if rec is not None:
+                dropped += len(rec)
+        self._low[creator] = min_keep_interval
         self._count -= dropped
         return dropped
 
@@ -144,9 +191,5 @@ class NoticeTable:
 
     def all_notices(self) -> List[WriteNotice]:
         """Every notice, by creator, then in insertion order."""
-        return [
-            n
-            for c in sorted(self._by_interval)
-            for bucket in self._by_interval[c].values()
-            for n in bucket.values()
-        ]
+        by_creator = sorted(self._records.values(), key=lambda r: r[0].creator)
+        return [wn for rec in by_creator for wn in rec]

@@ -9,7 +9,7 @@ propagated LLT/CGC control data of §4.4.4 and its size is accounted as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
@@ -18,6 +18,8 @@ from repro.dsm.vclock import VClock
 
 __all__ = [
     "WriteNotice",
+    "NoticeRecord",
+    "notice_count",
     "Piggyback",
     "Message",
     "LockAcquireReq",
@@ -51,6 +53,16 @@ class WriteNotice:
     interval: int
     page: PageId
     vt: VClock
+
+
+#: one interval record: a creator's notices of one interval, in flush
+#: order, at most one per page (see :mod:`repro.dsm.interval`)
+NoticeRecord = Tuple[WriteNotice, ...]
+
+
+def notice_count(records: Iterable[NoticeRecord]) -> int:
+    """Notices held by a sequence of interval records."""
+    return sum(map(len, records))
 
 
 @dataclass(frozen=True)
@@ -92,12 +104,12 @@ class Message:
         return config.msg_header + self.payload_bytes(config) + self.ft_bytes(config)
 
 
-def _notices_bytes(notices: List[WriteNotice], config: DsmConfig) -> int:
+def _notices_bytes(records: List[NoticeRecord], config: DsmConfig) -> int:
     # one (creator, interval, page) record per notice; timestamps of
     # notices are reconstructed from interval tables, so only distinct
     # interval vts are shipped — modeled as one vt per notice creator
     # interval, folded into notice_bytes for simplicity.
-    return len(notices) * (config.notice_bytes + config.vt_entry_bytes)
+    return notice_count(records) * (config.notice_bytes + config.vt_entry_bytes)
 
 
 @dataclass
@@ -165,12 +177,12 @@ class LockGrant(Message):
     lock_id: int = 0
     grantor: int = 0
     rel_vt: VClock = None  # type: ignore[assignment]
-    notices: List[WriteNotice] = field(default_factory=list)
+    records: List[NoticeRecord] = field(default_factory=list)
     seq: int = 0
     category: str = "lock"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 12 + config.vt_bytes() + _notices_bytes(self.notices, config)
+        return 12 + config.vt_bytes() + _notices_bytes(self.records, config)
 
 
 @dataclass
@@ -220,11 +232,11 @@ class BarrierArrive(Message):
     episode: int = 0
     proc: int = 0
     vt: VClock = None  # type: ignore[assignment]
-    notices: List[WriteNotice] = field(default_factory=list)
+    records: List[NoticeRecord] = field(default_factory=list)
     category: str = "barrier"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes() + _notices_bytes(self.notices, config)
+        return 8 + config.vt_bytes() + _notices_bytes(self.records, config)
 
 
 @dataclass
@@ -233,11 +245,11 @@ class BarrierRelease(Message):
 
     episode: int = 0
     global_vt: VClock = None  # type: ignore[assignment]
-    notices: List[WriteNotice] = field(default_factory=list)
+    records: List[NoticeRecord] = field(default_factory=list)
     category: str = "barrier"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes() + _notices_bytes(self.notices, config)
+        return 8 + config.vt_bytes() + _notices_bytes(self.records, config)
 
 
 @dataclass

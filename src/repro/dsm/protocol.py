@@ -50,10 +50,12 @@ from repro.dsm.messages import (
     LockForward,
     LockGrant,
     Message,
+    NoticeRecord,
     PageFetchReply,
     PageFetchReq,
     Piggyback,
     WriteNotice,
+    notice_count,
 )
 from repro.dsm.pages import PageEntry, PageId, PageState, RegionSet, SharedRegion
 from repro.dsm.vclock import VClock
@@ -454,6 +456,8 @@ class DsmProcess:
             entry.dirty = False
             entry.state = PageState.RO
             notice = WriteNotice(self.pid, new_interval, page, self.vt)
+            # grows this interval's record by replacement: a message sent
+            # while the flush yields keeps the pages flushed before it
             self.notices.add(notice)
             self.stats.notices_created += 1
             if not diff.empty:
@@ -506,7 +510,6 @@ class DsmProcess:
                 lock_id=lock_id,
                 grantor=self.pid,
                 rel_vt=st.rel_vt or VClock.zero(self.n),
-                notices=[],
             )
             self._complete_acquire(lock_id, grant, local=True)
             self._record_self_grant(lock_id)
@@ -533,7 +536,7 @@ class DsmProcess:
         yield from self.cpu.charge(
             TimeBucket.OVERHEAD,
             self.cpu.costs.message_handler
-            + len(grant.notices) * 1e-6,
+            + notice_count(grant.records) * 1e-6,
         )
 
     def _complete_acquire(self, lock_id: int, grant: LockGrant, local: bool) -> None:
@@ -543,7 +546,7 @@ class DsmProcess:
         st.rel_vt = None
         self._pending_acquires.pop(lock_id, None)
         self._completed_seq[lock_id] = self._acq_seq.get(lock_id, 0)
-        self.stats.notices_applied += self._apply_notices(grant.notices)
+        self.stats.notices_applied += self._apply_notices(grant.records)
         # the acquire starts a new local interval (bump); this guarantees
         # every acquire has a unique, strictly increasing own-component,
         # which Rule 2 trimming and replay alignment rely on
@@ -574,11 +577,10 @@ class DsmProcess:
         assert st.has_token and not st.held
         st.granted[acquirer] = max(st.granted.get(acquirer, -1), seq)
         rel_vt = st.rel_vt or VClock.zero(self.n)
-        notices = self.notices.between(acq_vt, rel_vt)
-        # exclude the acquirer's own notices; it has its own writes
-        notices = [wn for wn in notices if wn.creator != acquirer]
+        # the acquirer's own notices stay out: it has its own writes
+        records = self.notices.between(acq_vt, rel_vt, skip_creator=acquirer)
         grant = LockGrant(
-            lock_id=lock_id, grantor=self.pid, rel_vt=rel_vt, notices=notices,
+            lock_id=lock_id, grantor=self.pid, rel_vt=rel_vt, records=records,
             seq=seq,
         )
         if acquirer == self.pid:
@@ -662,12 +664,13 @@ class DsmProcess:
             self._complete_barrier(release)
             yield from self.cpu.charge(
                 TimeBucket.OVERHEAD,
-                self.cpu.costs.message_handler + len(release.notices) * 1e-6,
+                self.cpu.costs.message_handler
+                + notice_count(release.records) * 1e-6,
             )
             return
         own = self.notices.own_after(self.pid, self.last_barrier_global[self.pid])
         arrive = BarrierArrive(
-            episode=episode, proc=self.pid, vt=self.vt, notices=own
+            episode=episode, proc=self.pid, vt=self.vt, records=own
         )
         t0 = self.engine.now
         fut = Future(f"barrier{episode} @{self.pid}")
@@ -688,11 +691,12 @@ class DsmProcess:
         self._complete_barrier(release)
         yield from self.cpu.charge(
             TimeBucket.OVERHEAD,
-            self.cpu.costs.message_handler + len(release.notices) * 1e-6,
+            self.cpu.costs.message_handler
+            + notice_count(release.records) * 1e-6,
         )
 
     def _complete_barrier(self, release: BarrierRelease) -> None:
-        self.stats.notices_applied += self._apply_notices(release.notices)
+        self.stats.notices_applied += self._apply_notices(release.records)
         self.vt = self.vt.join(release.global_vt)
         self.last_barrier_global = release.global_vt
         self.barrier_episode += 1
@@ -704,8 +708,9 @@ class DsmProcess:
     # ------------------------------------------------------------------
     # invalidations
     # ------------------------------------------------------------------
-    def _apply_notices(self, notices: List[WriteNotice]) -> int:
-        """Record a batch of write notices and invalidate the pages they cover.
+    def _apply_notices(self, records: List[NoticeRecord]) -> int:
+        """Record a batch of interval records and invalidate the pages
+        their notices cover.
 
         One bulk insert, then one visit per page: the page's new notices
         fold into one ``needed_v`` update and its state flips at most
@@ -717,7 +722,7 @@ class DsmProcess:
         write the local copy already has is dropped for good. Returns the
         number of new notices.
         """
-        new = self.notices.add_all(notices, self.pid)
+        new = self.notices.add_all(records, self.pid)
         by_page: Dict[PageId, List[WriteNotice]] = {}
         for wn in new:
             group = by_page.get(wn.page)
@@ -945,40 +950,42 @@ class DsmProcess:
             return  # duplicate arrival re-sent after recovery
         if mgr.current is not None and arrive.proc in mgr.current.arrived:
             return
-        done = mgr.arrive(arrive.proc, arrive.episode, arrive.vt, arrive.notices)
+        done = mgr.arrive(arrive.proc, arrive.episode, arrive.vt, arrive.records)
         if done is None:
             return
         global_vt = done.global_vt()
+        records = done.records
         self.cpu.accrue_handler(
             self.cpu.costs.message_handler * self.n
-            + len(done.notices) * 0.5e-6
+            + notice_count(records) * 0.5e-6
         )
-        # per-proc missing-notice filter: an O(procs × notices) scan. At
-        # wide cluster sizes the scan runs vectorized (same selection,
-        # same order); small clusters keep the plain loop.
-        notices = done.notices
-        vectorize = self.n >= VClock.ARRAY_WIDTH and notices
+        # per-proc missing-record filter: an O(procs × records) scan (a
+        # record's notices share its creator and interval). At wide
+        # cluster sizes the scan runs vectorized (same selection, same
+        # order); small clusters keep the plain loop.
+        vectorize = self.n >= VClock.ARRAY_WIDTH and records
         if vectorize:
-            wn_creator = np.fromiter(
-                (wn.creator for wn in notices), np.int64, len(notices)
+            rec_creator = np.fromiter(
+                (rec[0].creator for rec in records), np.int64, len(records)
             )
-            wn_interval = np.fromiter(
-                (wn.interval for wn in notices), np.int64, len(notices)
+            rec_interval = np.fromiter(
+                (rec[0].interval for rec in records), np.int64, len(records)
             )
         for proc, vt in done.arrived.items():
             if vectorize:
-                keep = (wn_creator != proc) & (
-                    wn_interval > vt.as_array()[wn_creator]
+                keep = (rec_creator != proc) & (
+                    rec_interval > vt.as_array()[rec_creator]
                 )
-                missing = [notices[k] for k in np.flatnonzero(keep).tolist()]
+                missing = [records[k] for k in np.flatnonzero(keep).tolist()]
             else:
                 missing = [
-                    wn
-                    for wn in notices
-                    if wn.creator != proc and wn.interval > vt[wn.creator]
+                    rec
+                    for rec in records
+                    if rec[0].creator != proc
+                    and rec[0].interval > vt[rec[0].creator]
                 ]
             release = BarrierRelease(
-                episode=done.episode, global_vt=global_vt, notices=missing
+                episode=done.episode, global_vt=global_vt, records=missing
             )
             if proc == self.pid:
                 self._handle_barrier_release(release)

@@ -383,12 +383,13 @@ class InvariantMonitor:
             t = getattr(msg, attr, None)
             if type(t) is VClock:
                 self._check_stamp(origin, type(msg).__name__, attr, t)
-        notices = getattr(msg, "notices", None)
-        if notices:
-            for wn in notices:
-                t = getattr(wn, "vt", None)
-                if type(t) is VClock:
-                    self._check_stamp(origin, "WriteNotice", "vt", t)
+        records = getattr(msg, "records", None)
+        if records:
+            for rec in records:
+                for wn in rec:
+                    t = getattr(wn, "vt", None)
+                    if type(t) is VClock:
+                        self._check_stamp(origin, "WriteNotice", "vt", t)
         pb = getattr(msg, "piggyback", None)
         if pb is not None:
             for _proc, tckp, _bar in pb.tckps:
@@ -507,13 +508,11 @@ class InvariantMonitor:
                 f"{logs.diff.volatile_bytes}, entries sum to {actual}",
             )
         # Rule 2: rel entries per acquirer, acq entries vs own cut
-        for j in range(ft.n):
+        for j, entries in sorted(logs.rel.entries.items()):
             if j == pid:
                 continue
             bound = trim.rel_bound(j)
-            if bound and any(
-                e.acq_t[j] <= bound for e in logs.rel.entries[j]
-            ):
+            if bound and any(e.acq_t[j] <= bound for e in entries):
                 self._violate(
                     "llt", pid,
                     f"rel_log[{j}] retains entries with acq_t[{j}] <= "
@@ -522,7 +521,7 @@ class InvariantMonitor:
         own_bound = trim.acq_bound()
         if own_bound and any(
             e.acq_t[pid] <= own_bound
-            for es in logs.acq.entries for e in es
+            for es in logs.acq.entries.values() for e in es
         ):
             self._violate(
                 "llt", pid,
@@ -541,7 +540,7 @@ class InvariantMonitor:
         proto = host.proto
         if proto is not None and wn_from > 1:
             stale = [
-                wn for wn in proto.notices.own_after(pid, 0)
+                wn for rec in proto.notices.own_after(pid, 0) for wn in rec
                 if wn.interval < wn_from
             ]
             if stale:
@@ -705,7 +704,7 @@ class InvariantMonitor:
             if (g == i or ft is None or not host.live or host.recovering
                     or peer.ft is None or not peer.live or peer.recovering):
                 continue
-            mine = ft.logs.acq.entries[g]
+            mine = ft.logs.acq.entries.get(g)
             if not mine:
                 continue
             mgr = host.ckpt_mgr
@@ -719,7 +718,8 @@ class InvariantMonitor:
             stamp = (bucket, own_cut)
             if memo is not None and memo.pairs.get(pair) == stamp:
                 continue  # a candidate whose own buckets are unchanged
-            if self._check_pair(i, g, mine, rel.entries[i], own_cut, final):
+            if self._check_pair(i, g, mine, rel.entries.get(i, ()), own_cut,
+                                final):
                 if memo is not None:
                     memo.pairs[pair] = stamp
             else:
@@ -757,7 +757,7 @@ class InvariantMonitor:
             stamp = max(acq.gen, mgr.gen) if mgr is not None else acq.gen
             if memo.acq[i] != stamp:
                 memo.acq[i] = stamp
-                todo.update((i, g) for g in acq.nonempty)
+                todo.update((i, g) for g in acq.entries)
             rel_gen = ft.logs.rel.gen
             if memo.rel[i] != rel_gen:
                 memo.rel[i] = rel_gen
@@ -765,7 +765,7 @@ class InvariantMonitor:
         if regranted:
             for host in hosts:
                 if host.ft is not None:
-                    grantors = host.ft.logs.acq.nonempty
+                    grantors = host.ft.logs.acq.entries
                     todo.update(
                         (host.pid, g) for g in regranted if g in grantors
                     )

@@ -88,7 +88,7 @@ def test_wn_log_trimming_respects_rule1():
     cluster, _ = run_ft("water-spatial", l_fraction=0.05, steps=4)
     for h in cluster.hosts:
         keep_from = h.ft.trim.wn_keep_from()
-        own = h.proto.notices.own_after(h.pid, 0)
+        own = [n for rec in h.proto.notices.own_after(h.pid, 0) for n in rec]
         # trimming ran at checkpoints; anything older than the bound at
         # that moment is gone, so the oldest retained own notice can be
         # below the *current* bound but never below 1

@@ -162,7 +162,7 @@ def drop_newest_grant(cluster: Any) -> None:
     holds an older grant for; nothing on the acquirer's side changes."""
     for host in cluster.hosts:
         rel = host.ft.logs.rel
-        for acquirer, entries in enumerate(rel.entries):
+        for acquirer, entries in sorted(rel.entries.items()):
             if len(entries) >= 2:
                 rel.restore_for(acquirer, entries[:-1])
                 return

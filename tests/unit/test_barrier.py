@@ -18,11 +18,11 @@ def wn(creator, interval):
 def test_episode_completes_when_all_arrive():
     m = BarrierManagerState(N)
     assert m.arrive(0, 0, VClock((1, 0, 0)), []) is None
-    assert m.arrive(1, 0, VClock((0, 2, 0)), [wn(1, 2)]) is None
+    assert m.arrive(1, 0, VClock((0, 2, 0)), [(wn(1, 2),)]) is None
     done = m.arrive(2, 0, VClock((0, 0, 3)), [])
     assert done is not None
     assert done.global_vt() == VClock((1, 2, 3))
-    assert len(done.notices) == 1
+    assert len(done.records) == 1
     assert m.next_episode == 1
     assert m.history[0] == VClock((1, 2, 3))
     assert m.last_global == VClock((1, 2, 3))

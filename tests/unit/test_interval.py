@@ -16,6 +16,10 @@ def wn(creator, interval, page=0):
     return WriteNotice(creator, interval, PageId(0, page), vt)
 
 
+def flat(records):
+    return [n for rec in records for n in rec]
+
+
 def test_add_and_dedupe():
     t = NoticeTable(N)
     assert t.add(wn(0, 1))
@@ -30,10 +34,10 @@ def test_between_window():
         t.add(wn(1, i, page=i))
     low = VClock((0, 2, 0, 0))
     high = VClock((0, 5, 0, 0))
-    got = sorted(n.interval for n in t.between(low, high))
+    got = sorted(n.interval for n in flat(t.between(low, high)))
     assert got == [5]
     # inclusive upper, exclusive lower
-    got = sorted(n.interval for n in t.between(VClock.zero(N), high))
+    got = sorted(n.interval for n in flat(t.between(VClock.zero(N), high)))
     assert got == [1, 2, 5]
 
 
@@ -41,7 +45,7 @@ def test_between_multi_creator():
     t = NoticeTable(N)
     t.add(wn(0, 3))
     t.add(wn(2, 4, page=1))
-    got = t.between(VClock.zero(N), VClock((3, 0, 4, 0)))
+    got = flat(t.between(VClock.zero(N), VClock((3, 0, 4, 0))))
     assert {(n.creator, n.interval) for n in got} == {(0, 3), (2, 4)}
 
 
@@ -55,7 +59,7 @@ def test_own_after():
     t = NoticeTable(N)
     for i in (1, 3, 7):
         t.add(wn(2, i, page=i))
-    got = sorted(n.interval for n in t.own_after(2, 2))
+    got = sorted(n.interval for n in flat(t.own_after(2, 2)))
     assert got == [3, 7]
     assert t.own_after(2, 7) == []
 
@@ -88,7 +92,7 @@ def test_between_matches_bruteforce(entries, lo, hi):
         if t.add(n):
             inserted.append(n)
     low, high = VClock(lo), VClock(hi)
-    got = {(n.creator, n.interval, n.page) for n in t.between(low, high)}
+    got = {(n.creator, n.interval, n.page) for n in flat(t.between(low, high))}
     want = {
         (n.creator, n.interval, n.page)
         for n in inserted

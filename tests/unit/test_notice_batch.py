@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsm.config import DsmConfig
+from repro.dsm.interval import records_of
 from repro.dsm.messages import WriteNotice
 from repro.dsm.pages import PageId, PageState, RegionSet
 from repro.dsm.protocol import DsmProcess
@@ -75,6 +76,10 @@ def sparse(n: int, comps) -> VClock:
     return VClock(v)
 
 
+def flat(records):
+    return [wn for rec in records for wn in rec]
+
+
 def snapshot(proc: DsmProcess):
     entries = [proc.entries[page(i)] for i in range(NUM_PAGES)]
     high = VClock([10**6] * proc.n)
@@ -83,8 +88,8 @@ def snapshot(proc: DsmProcess):
         [None if e.needed_v is None else e.needed_v.v for e in entries],
         [e.state for e in entries],
         fields(proc.notices.all_notices()),
-        fields(proc.notices.between(VClock.zero(proc.n), high)),
-        [fields(proc.notices.own_after(c, 2)) for c in range(proc.n)],
+        fields(flat(proc.notices.between(VClock.zero(proc.n), high))),
+        [fields(flat(proc.notices.own_after(c, 2))) for c in range(proc.n)],
     )
 
 
@@ -128,7 +133,7 @@ def test_batched_matches_per_notice_reference(scenario):
     assert any(batched.is_home(page(i)) for i in range(NUM_PAGES))
     for spec in batches:
         notices = [notice(n, c, i, p) for c, i, p in spec]
-        fresh = batched._apply_notices(notices)
+        fresh = batched._apply_notices(records_of(notices))
         assert fresh == apply_one_by_one(reference, notices)
         assert snapshot(batched) == snapshot(reference)
 
@@ -148,7 +153,7 @@ def test_order_rule_drops_covered_notice_before_first_commit():
         proc.entries[p].state = PageState.RO
         proc.have_v[p] = VClock((0, 3, 0, 0))
     batched, reference = procs
-    assert batched._apply_notices(batch) == 3
+    assert batched._apply_notices(records_of(batch)) == 3
     # a componentwise max over the batch would give (0, 2, 1, 0)
     assert batched.entries[p].needed_v == VClock((0, 1, 1, 0))
     assert batched.entries[p].state is PageState.INVALID
@@ -161,6 +166,7 @@ def test_covered_batch_leaves_page_valid():
     p = page(1)
     proc.entries[p].state = PageState.RO
     proc.have_v[p] = sparse(16, [(1, 5), (2, 5)])
-    assert proc._apply_notices([notice(16, 1, 4, 1), notice(16, 2, 5, 1)]) == 2
+    batch = [notice(16, 1, 4, 1), notice(16, 2, 5, 1)]
+    assert proc._apply_notices(records_of(batch)) == 2
     assert proc.entries[p].needed_v is None
     assert proc.entries[p].state is PageState.RO

@@ -123,8 +123,9 @@ def test_message_sizes_include_header_and_piggyback():
 
 def test_grant_size_scales_with_notices():
     wn = WriteNotice(0, 1, P, VT)
-    g0 = LockGrant(lock_id=0, grantor=0, rel_vt=VT, notices=[])
-    g2 = LockGrant(lock_id=0, grantor=0, rel_vt=VT, notices=[wn, wn])
+    g0 = LockGrant(lock_id=0, grantor=0, rel_vt=VT, records=[])
+    wn2 = WriteNotice(0, 1, PageId(0, 1), VT)
+    g2 = LockGrant(lock_id=0, grantor=0, rel_vt=VT, records=[(wn, wn2)])
     assert g2.size_bytes(CFG) > g0.size_bytes(CFG)
 
 

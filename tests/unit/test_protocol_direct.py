@@ -10,7 +10,7 @@ import pytest
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
-from repro.dsm.messages import DiffMsg, PageFetchReply
+from repro.dsm.messages import DiffMsg, PageFetchReply, notice_count
 from repro.dsm.pages import PageId, PageState, RegionSet
 from repro.dsm.protocol import DsmProcess
 from repro.dsm.vclock import VClock
@@ -153,8 +153,8 @@ def test_grant_carries_only_window_notices():
 
     h.run(writer(), acquirer())
     first, second = grants[0], grants[1]
-    assert len(first.notices) >= 1  # all of p0's notices, unseen so far
-    assert len(second.notices) == 0  # window is empty the second time
+    assert notice_count(first.records) >= 1  # all of p0's, unseen so far
+    assert notice_count(second.records) == 0  # window is empty the second time
 
 
 def test_self_grant_logged_at_manager():
@@ -198,11 +198,11 @@ def test_notice_skipped_when_copy_fresh():
     from repro.dsm.messages import WriteNotice
 
     wn = WriteNotice(0, 3, page, VClock((3, 0)))
-    p1._apply_notices([wn])
+    p1._apply_notices([(wn,)])
     # the local copy already includes interval 3: stays valid
     assert p1.entries[page].state is PageState.RO
     wn2 = WriteNotice(0, 5, page, VClock((5, 0)))
-    p1._apply_notices([wn2])
+    p1._apply_notices([(wn2,)])
     assert p1.entries[page].state is PageState.INVALID
     assert p1.entries[page].needed_v[0] == 5
 
@@ -217,4 +217,4 @@ def test_dirty_page_invalidation_is_protocol_error():
     from repro.dsm.messages import WriteNotice
 
     with pytest.raises(RuntimeError, match="dirty"):
-        p1._apply_notices([WriteNotice(0, 9, page, VClock((9, 0)))])
+        p1._apply_notices([(WriteNotice(0, 9, page, VClock((9, 0))),)])

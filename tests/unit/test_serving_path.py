@@ -26,7 +26,7 @@ from repro.apps.session import (
     SessionConfig,
 )
 from repro.core import FtConfig
-from repro.dsm.interval import NoticeTable
+from repro.dsm.interval import NoticeTable, records_of
 from repro.dsm.messages import WriteNotice
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
@@ -138,7 +138,7 @@ def test_notice_count_matches_full_recount(ops):
     t = NoticeTable(N)
     for kind, a, b in ops:
         if kind == "add":
-            t.add_all([wn(*x) for x in a], skip_creator=b)
+            t.add_all(records_of(wn(*x) for x in a), skip_creator=b)
         else:
             t.trim_creator_before(a, b)
         assert t.count() == len(t.all_notices())

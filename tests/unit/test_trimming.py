@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.trimming import TrimmingInfo
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
+from tests.conftest import make_app, make_cluster
 
 N = 4
 
@@ -187,3 +188,30 @@ def test_row_gen_tracks_changes_for_gossip_delta():
     assert t.gen == g1
     t.learn_tckp(2, vt(0, 0, 7, 0))
     assert t.gen > g1 and t.row_gen[2] == t.gen and t.row_gen[1] == g1
+
+
+class _NoScan:
+    """Stands in for ``row_gen``: any comparison means a row scan ran."""
+
+    def __gt__(self, other):
+        raise AssertionError("piggyback_for scanned row_gen")
+
+
+def test_first_contact_with_nothing_learned_skips_the_row_scan():
+    cluster = make_cluster(4, ft=True)
+    cluster.setup(make_app("counter"))
+    ft = cluster.hosts[0].ft
+    assert ft.trim.gen == 0
+    ft.trim.row_gen = _NoScan()
+    assert all(ft.piggyback_for(dst) is None for dst in (1, 2, 3))
+
+
+def test_first_contact_after_learning_ships_the_learned_rows():
+    cluster = make_cluster(4, ft=True)
+    cluster.setup(make_app("counter"))
+    ft = cluster.hosts[0].ft
+    ft.trim.learn_tckp(2, vt(0, 0, 3, 0), 1)
+    pb = ft.piggyback_for(1)
+    assert pb is not None and [p for p, _, _ in pb.tckps] == [2]
+    assert ft.piggyback_for(1) is None  # synced: nothing new
+    assert ft.piggyback_for(2) is None  # a row is never sent to its owner
