@@ -33,8 +33,9 @@ crash schedules — crash-sweep's recovery-equivalence oracle holds for
 every injection point. Reads return values that depend on interleaving
 and are deliberately **not** stored in checkpointable state or asserted.
 
-Latency observation happens through ``proc.obs`` (the per-node probe)
-when an observer is attached, and costs nothing otherwise:
+Latencies are emitted on the ``latency`` hook point
+(:mod:`repro.sim.hooks`), which costs one truth test when nothing
+subscribes:
 
 * ``lat.request`` — arrival → completion, per request;
 * ``lat.request.read`` / ``lat.request.write`` — the same, split by op;
@@ -212,13 +213,14 @@ class SessionApp(DsmApp):
                     view[0] = view[0] + _write_delta(proc.pid, r)
                 yield from proc.compute(cfg.compute_per_op)
                 yield from proc.release(stripe)
-                obs = proc.obs
-                if obs is not None:
-                    done = proc.engine.now
-                    obs.app_latency("lat.queue").observe(service_start - arrival)
-                    obs.app_latency("lat.request").observe(done - arrival)
-                    cls = "read" if is_read else "write"
-                    obs.app_latency(f"lat.request.{cls}").observe(done - arrival)
+                latency = proc.hooks.latency
+                if latency:
+                    total = proc.engine.now - arrival
+                    cls = "lat.request.read" if is_read else "lat.request.write"
+                    for fn in latency:
+                        fn(proc, "lat.queue", service_start - arrival)
+                        fn(proc, "lat.request", total)
+                        fn(proc, cls, total)
             yield from proc.barrier()
 
         yield from phase_loop(proc, state, cfg.steps, [phase_serve])

@@ -92,8 +92,6 @@ class ProcHost:
             send_fn=cluster.send,
             cpu=CpuModel(),
         )
-        if cluster.observer is not None:
-            proto.obs = cluster.observer.node_probe(self.pid)
         return proto
 
     def deliver(self, src: int, msg: Message) -> None:
@@ -160,6 +158,10 @@ class DsmCluster:
         #: FtManager class/constructor (swap in baseline FT layers)
         self.ft_factory = ft_factory or FtManager
         self.engine = Engine()
+        #: the instrumentation bus (repro.sim.hooks), shared with the
+        #: engine, the network and every process; observability
+        #: consumers subscribe to it
+        self.hooks = self.engine.hooks
         self.network = Network(self.engine, self.config.num_procs, self.net_config)
         self.regions = RegionSet(self.config)
         self.hosts: List[ProcHost] = [
@@ -179,13 +181,6 @@ class DsmCluster:
         #: or "rollback" (coordinated baseline: everyone restarts from
         #: the last global cut)
         self.recovery_style = "independent"
-        #: optional probe consumer (tracer / fault-injection campaign):
-        #: called as probe(pid, kind, detail) at instrumented points
-        self.probe: Optional[Callable[[int, str, str], None]] = None
-        #: attached observability layer (repro.observe.ClusterObserver);
-        #: set by the observer itself, consulted whenever a protocol or
-        #: FT instance is (re)created so probes survive crash/recovery
-        self.observer: Any = None
         #: recovery queries held because the responder was down (§4.3
         #: overlapping-failure message-hold path)
         self.held_recovery_msgs = 0
@@ -197,6 +192,10 @@ class DsmCluster:
         return self.regions.allocate(name, num_elements, dtype)
 
     def send(self, src: int, dst: int, msg: Message) -> None:
+        send = self.hooks.send
+        if send:
+            for fn in send:
+                fn(src, dst, msg)
         size = msg.size_bytes(self.config)
         ft_bytes = msg.ft_bytes(self.config)
         self.network.send(src, dst, msg, size, msg.category, ft_bytes)
@@ -263,8 +262,6 @@ class DsmCluster:
         )
         host.ft.proc_host = host
         host.ft.app_state_fn = lambda h=host: h.state
-        if self.observer is not None:
-            host.ft.obs = self.observer
         if self.replication:
             from repro.core.replica import Replicator
 
@@ -321,7 +318,10 @@ class DsmCluster:
             self._recompute_buddies()
 
     def _app_main(self, host: ProcHost) -> Iterator[Any]:
-        yield from self.app.run(host.proto, host.state)
+        yield from self.hooks.op_span(
+            host.proto, "app", host.crashed_count,
+            self.app.run(host.proto, host.state),
+        )
         host.finished = True
         self._unfinished -= 1
 
@@ -392,12 +392,10 @@ class DsmCluster:
         host = self.hosts[pid]
         if host.finished or (not host.live and not host.recovering):
             return  # already done, or already down awaiting recovery
-        # announce the fail-stop on the probe hook *before* the kill, so
-        # observers (flat tracer, span tracer) see the failure while the
-        # victim's state is still intact — the span tracer abandons the
-        # victim's open spans on this event
-        if self.probe is not None:
-            self.probe(pid, "failure", "fail-stop")
+        # announce the fail-stop *before* the kill, so subscribers see
+        # the failure while the victim's state is still intact — the
+        # span tracer abandons the victim's open spans on this event
+        self.hooks.emit_probe(pid, "failure", "fail-stop")
         self.crashes += 1
         host.crashed_count += 1
         host.last_crash_time = self.engine.now
@@ -442,8 +440,9 @@ class DsmCluster:
         if host.live or host.finished or host.recovering:
             return  # already back (or a restarted recovery is underway)
         host.recovering = True
-        if self.probe is not None:
-            self.probe(pid, "recovery", f"begin incarnation={host.crashed_count}")
+        self.hooks.emit_probe(
+            pid, "recovery", f"begin incarnation={host.crashed_count}"
+        )
         rm = RecoveryManager(host)
         host.simproc = self.engine.spawn(rm.recover_and_resume(), name=f"rec{pid}")
 

@@ -132,19 +132,11 @@ class FtManager(FtHooks):
         #: set by the cluster: the ProcHost we live on (None when the
         #: manager is driven directly, e.g. in unit tests)
         self.proc_host: Any = None
-        #: observability sink (repro.observe.ClusterObserver); record-only
-        self.obs: Any = None
         self._install()
 
-    def _probe(self, kind: str, detail: str) -> None:
-        """Emit a cluster probe event (fault-injection instrumentation).
-
-        No-op unless a probe consumer (tracer / crash-sweep campaign) is
-        attached to the cluster — two attribute checks when disabled.
-        """
-        host = self.proc_host
-        if host is not None and host.cluster.probe is not None:
-            host.cluster.probe(self.pid, kind, detail)
+    def _probe(self, kind: str, detail: str, data: Any = None) -> None:
+        """Emit a ``probe`` event on the cluster's instrumentation bus."""
+        self.proc.hooks.emit_probe(self.pid, kind, detail, data)
 
     def _install(self) -> None:
         self.proc.ft = self
@@ -314,6 +306,10 @@ class FtManager(FtHooks):
     def take_checkpoint(self) -> Iterator[Any]:
         """The full checkpoint operation (see module docstring)."""
         proc = self.proc
+        yield from proc.hooks.op_span(proc, "ckpt", None, self._checkpoint())
+
+    def _checkpoint(self) -> Iterator[Any]:
+        proc = self.proc
         yield from proc.cpu.drain_debt()
         yield from proc._end_interval()
         proc.vt = proc.vt.bump(self.pid)  # clean cut: Tckp < everything after
@@ -374,12 +370,10 @@ class FtManager(FtHooks):
             "ckpt_write", f"begin seqno={seqno} bytes={total_write}"
         )
         yield from proc.cpu.charge(TimeBucket.LOG_CKPT, write_cost)
-        self._probe("ckpt_write", f"end seqno={seqno}")
+        # data: the write+commit duration (the commit marker lands in
+        # zero virtual time right after the write completes)
+        self._probe("ckpt_write", f"end seqno={seqno}", proc.engine.now - t0)
         self.stats.time_disk += proc.engine.now - t0
-        if self.obs is not None:
-            # write+commit duration: the commit marker lands in zero
-            # virtual time right after the write completes
-            self.obs.on_ckpt_write(self.pid, proc.engine.now - t0)
 
         # -- commit marker ---------------------------------------------------
         self.logs.diff.mark_all_saved()
@@ -399,8 +393,10 @@ class FtManager(FtHooks):
         disk_log = self.logs.diff.saved_bytes
         self.stats.max_log_disk = max(self.stats.max_log_disk, disk_log)
         self.stats.log_points.append((self.stats.checkpoints_taken, disk_log))
-        if self.obs is not None:
-            self.obs.on_checkpoint(self.pid, self.stats.checkpoints_taken, disk_log)
+        commit = proc.hooks.commit
+        if commit:
+            for fn in commit:
+                fn(proc, "ckpt", self.stats.checkpoints_taken)
 
     # ==================================================================
     # LLT (Rules 1, 2, 3.2) — §4.4
@@ -451,14 +447,13 @@ class FtManager(FtHooks):
         self._llt_gen = trim.gen
         self.stats.rel_entries_trimmed += out["rel"] + out["acq"]
         self.stats.wn_trimmed += out["wn"]
-        if self.obs is not None:
-            self.obs.on_llt(self.pid, out)
         # fires synchronously at the end of the pass, so a probe consumer
         # (the invariant monitor) reads the logs exactly as LLT left them
         self._probe(
             "llt",
             f"diff_bytes={out['diff_bytes']} rel={out['rel']} "
             f"acq={out['acq']} wn={out['wn']}",
+            out,
         )
         return out
 
@@ -490,12 +485,10 @@ class FtManager(FtHooks):
                 )
             # the home is its own writer: trim its own diff log directly
             self.trim.learn_p0v(page, p0.version[self.pid])
-        if self.obs is not None:
-            self.obs.on_cgc(self.pid, freed)
         # synchronous end-of-pass probe: Tmin and the retained copies are
         # exactly the ones this pass computed when a consumer reads them
         self._probe(
-            "cgc", f"freed={freed} window={self.ckpt_mgr.window_size}"
+            "cgc", f"freed={freed} window={self.ckpt_mgr.window_size}", freed
         )
         return freed
 

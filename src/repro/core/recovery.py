@@ -309,10 +309,9 @@ class RecoveryManager:
                     "chain was lost before a re-sync could repair it "
                     "(overlapping failures exceed what one buddy covers)"
                 )
-            if cluster.probe is not None:
-                cluster.probe(
-                    self.pid, "repl", f"fetch kind={kind} lost={lost} holder={holder}"
-                )
+            cluster.hooks.emit_probe(
+                self.pid, "repl", f"fetch kind={kind} lost={lost} holder={holder}"
+            )
             t0 = cluster.engine.now
             payload = yield from self.query(holder, "replica_" + kind, (lost, detail))
             self.replica_fetches += 1
@@ -362,8 +361,7 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def _rphase(self, detail: str) -> None:
         """Announce a recovery-phase boundary on the probe hook."""
-        if self.cluster.probe is not None:
-            self.cluster.probe(self.pid, "rphase", detail)
+        self.cluster.hooks.emit_probe(self.pid, "rphase", detail)
 
     def recover_and_resume(self) -> Iterator[Any]:
         host = self.host
@@ -396,17 +394,16 @@ class RecoveryManager:
         # a crash during a checkpoint disk write leaves a marker-less
         # (torn) record on stable storage; it must not be a restart point
         torn = host.ckpt_mgr.discard_torn()
-        if torn and cluster.probe is not None:
-            cluster.probe(self.pid, "recovery", f"discarded_torn n={torn}")
+        if torn:
+            cluster.hooks.emit_probe(self.pid, "recovery", f"discarded_torn n={torn}")
 
         ckpt: Optional[Checkpoint] = host.ckpt_mgr.restart_checkpoint()
         if ckpt is not None:
             self._restore_from_checkpoint(proto, ft, ckpt)
             host.state = ckpt.restore_app_state()
-            if cluster.probe is not None:
-                cluster.probe(
-                    self.pid, "recovery", f"restart_ckpt seqno={ckpt.seqno}"
-                )
+            cluster.hooks.emit_probe(
+                self.pid, "recovery", f"restart_ckpt seqno={ckpt.seqno}"
+            )
         else:
             # restart from the virtual checkpoint 0: initial private
             # state and the *seeded* initial contents of homed pages
@@ -454,12 +451,14 @@ class RecoveryManager:
             driver.go_live()
         host.recovery_mgr = None
 
-    def _finish_phases(self) -> None:
+    def _finish_phases(self) -> Dict[str, float]:
         """Record this incarnation's completed recovery anatomy.
 
-        Emitted at the live switch, *before* the ``recovery live`` probe
-        so the span tracer closes the replay child span while its parent
-        recovery span is still open. Phase durations (all virtual time):
+        Recorded at the live switch and carried as the data of the
+        ``recovery live`` probe; its ``rphase replay end`` probe fires
+        first, so the span tracer closes the replay child span while its
+        parent recovery span is still open. Phase durations (all virtual
+        time):
 
         * ``detect``    — fail-stop to recovery start (the cluster's
           failure-detection delay);
@@ -491,21 +490,18 @@ class RecoveryManager:
             "replica_fetch_s": self.replica_fetch_s,
         }
         host.recovery_phases.append(rec)
-        obs = self.cluster.observer
-        if obs is not None:
-            obs.on_recovery_phases(self.pid, rec)
+        return rec
 
     def _go_live(self) -> None:
         """Called by the driver at the live switch."""
         host = self.host
         cluster = self.cluster
-        self._finish_phases()
+        rec = self._finish_phases()
         host.recovering = False
         host.live = True
         cluster.recoveries += 1
         host.recovered_count += 1
-        if cluster.probe is not None:
-            cluster.probe(self.pid, "recovery", "live")
+        cluster.hooks.emit_probe(self.pid, "recovery", "live", rec)
         for j in range(cluster.config.num_procs):
             if j != self.pid:
                 cluster.send(self.pid, j, RecoveryDone(proc=self.pid))

@@ -206,11 +206,6 @@ class Replicator:
         self.bytes_sent = 0
         self.ops_sent = 0
         self.syncs_sent = 0
-        #: commit-send virtual times per seqno, kept only while an
-        #: observer is attached — popped on ack to feed the transfer/ack
-        #: lag percentile distribution (observer-private accounting; the
-        #: protocol never reads it)
-        self._commit_sent: Dict[int, float] = {}
 
     # -- buddy assignment ----------------------------------------------
     def choose_buddy(self) -> Optional[int]:
@@ -233,7 +228,6 @@ class Replicator:
         self.buddy = new
         self.gen += 1
         self.acked_seqno = -1  # nothing buddy-held until the new sync acks
-        self._commit_sent.clear()  # stale-gen sends will never be acked
         if old is not None and self.cluster.hosts[old].live:
             self._send(
                 ReplicaUpdate(kind="drop", protected=self.pid, gen=self.gen),
@@ -308,10 +302,7 @@ class Replicator:
                 kind="commit", protected=self.pid, seqno=seqno, gen=self.gen
             )
         )
-        self.ft._probe("repl", f"commit seqno={seqno} dst={self.buddy}")
-        # getattr: unit tests drive the replicator with a bare ft stub
-        if getattr(self.ft, "obs", None) is not None:
-            self._commit_sent[seqno] = self.ft.proc.engine.now
+        self.ft._probe("repl", f"commit seqno={seqno} dst={self.buddy}", seqno)
 
     def op(self, op: Tuple) -> None:
         """Mirror one incremental log event."""
@@ -333,18 +324,7 @@ class Replicator:
             return  # ack from a previous buddy epoch: its records are gone
         if msg.seqno > self.acked_seqno:
             self.acked_seqno = msg.seqno
-            self.ft._probe("repl", f"ack seqno={msg.seqno}")
-            obs = getattr(self.ft, "obs", None)
-            if obs is not None and self._commit_sent:
-                # acks are cumulative: this one covers every commit sent
-                # at or before msg.seqno (same-gen, so times are valid)
-                now = self.ft.proc.engine.now
-                for seqno in sorted(self._commit_sent):
-                    if seqno > msg.seqno:
-                        break
-                    obs.on_replica_ack(
-                        self.pid, now - self._commit_sent.pop(seqno)
-                    )
+            self.ft._probe("repl", f"ack seqno={msg.seqno}", msg.seqno)
 
     @property
     def lag(self) -> int:

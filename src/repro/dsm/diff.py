@@ -15,19 +15,6 @@ diff instead of O(runs), and both ends of the hot path are vectorized:
 :func:`compute_diff` gathers the payload with one fancy-indexed read and
 :func:`apply_diff` scatters it with one fancy-indexed write, so the
 many-tiny-runs case costs the same per byte as the single-run case.
-
-Coalescing
-----------
-Adjacent runs separated by at most ``gap`` unchanged bytes can be merged
-into one run carrying the (identical) gap bytes. With
-``gap <= RUN_HEADER_BYTES`` the merge never increases ``size_bytes``:
-each merge adds ``gap`` payload bytes but saves one run header. The gap
-bytes rewrite bytes at the home that the writer did not change, which is
-safe for data-race-free programs whose concurrent writers partition a
-page at ≥ ``gap`` granularity (8 bytes — one float64 element, the finest
-partition any of the workloads uses). ``compute_diff`` defaults to
-``gap=0`` (exact diffs — the protocol's golden-pinned behavior);
-the log/bench layers opt in where density makes it pay.
 """
 
 from __future__ import annotations
@@ -41,10 +28,6 @@ __all__ = ["Diff", "compute_diff", "apply_diff", "merge_runs", "concat_diffs"]
 #: modeled per-run wire/log overhead: (offset: u16, length: u16) plus
 #: alignment — 8 bytes, matching compact diff encodings in real systems.
 RUN_HEADER_BYTES = 8
-
-#: gap threshold at which coalescing two runs can never grow the encoded
-#: size (the gap payload it adds is at most the run header it saves)
-COALESCE_GAP = RUN_HEADER_BYTES
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_I64.setflags(write=False)
@@ -165,12 +148,9 @@ def _scatter_index(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(bounds[-1])) + np.repeat(offsets - starts, lengths)
 
 
-def compute_diff(twin: np.ndarray, page: np.ndarray, gap: int = 0) -> Diff:
-    """Diff of ``page`` against its ``twin`` (both uint8, same length).
-
-    ``gap > 0`` coalesces runs separated by at most ``gap`` unchanged
-    bytes (see module docstring for the size/safety argument).
-    """
+def compute_diff(twin: np.ndarray, page: np.ndarray) -> Diff:
+    """Diff of ``page`` against its ``twin`` (both uint8, same length):
+    the maximal runs of changed bytes."""
     if twin.shape != page.shape:
         raise ValueError(f"shape mismatch: {twin.shape} vs {page.shape}")
     if twin.dtype != np.uint8 or page.dtype != np.uint8:
@@ -183,10 +163,6 @@ def compute_diff(twin: np.ndarray, page: np.ndarray, gap: int = 0) -> Diff:
     padded = np.concatenate(([False], neq, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     starts, ends = edges[0::2], edges[1::2]
-    if gap > 0 and len(starts) > 1:
-        keep = (starts[1:] - ends[:-1]) > gap
-        starts = starts[np.concatenate(([True], keep))]
-        ends = ends[np.concatenate((keep, [True]))]
     lengths = ends - starts
     if len(starts) == 1:
         payload = page[int(starts[0]) : int(ends[0])].tobytes()

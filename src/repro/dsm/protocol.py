@@ -161,6 +161,8 @@ class DsmProcess:
         self.n = config.num_procs
         self.regions = regions
         self.engine = engine
+        #: the cluster's instrumentation bus (shared with the engine)
+        self.hooks = engine.hooks
         self._send_raw = send_fn
         self.cpu = cpu or CpuModel()
 
@@ -202,11 +204,6 @@ class DsmProcess:
         )
 
         self.ft: FtHooks = FtHooks()
-        #: observability probe (repro.observe.NodeProbe); None = no
-        #: observer attached — instrumented sites cost one attribute
-        #: check, and the probe itself only reads/records (never
-        #: schedules), so observation cannot perturb the run
-        self.obs: Any = None
         #: recovery replay driver (duck-typed); None = live operation
         self.replay: Any = None
 
@@ -263,7 +260,9 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def compute(self, seconds: float) -> Iterator[Delay]:
         """Charge ``seconds`` of application computation."""
-        yield from self.cpu.charge(TimeBucket.COMPUTE, seconds)
+        yield from self.hooks.op_span(
+            self, "compute", seconds, self.cpu.charge(TimeBucket.COMPUTE, seconds)
+        )
 
     # ------------------------------------------------------------------
     # application API — checkpointing
@@ -361,7 +360,7 @@ class DsmProcess:
             entry.needed_v is None or entry.needed_v.leq(self.have_v[page])
         ):
             return
-        yield from self._fetch(page, entry)
+        yield from self.hooks.op_span(self, "fetch", page, self._fetch(page, entry))
 
     def _ensure_writable(self, page: PageId) -> Iterator[Any]:
         yield from self._ensure_valid(page)
@@ -398,11 +397,7 @@ class DsmProcess:
         self._send(self.regions.home_of(page), req)
         reply: PageFetchReply = yield fut
         self._pending_fetch_req.pop(page, None)
-        wait = self.engine.now - t0
-        self.cpu.stats.add(TimeBucket.PAGE_WAIT, wait)
-        if self.obs is not None:
-            self.obs.fetch_wait.observe(wait)
-            self.obs.fetch_lat.observe(wait)
+        self._waited("fetch", TimeBucket.PAGE_WAIT, t0)
         # install the page
         buf = self.page_bytes(page)
         buf[:] = np.frombuffer(reply.data, dtype=np.uint8)
@@ -422,13 +417,28 @@ class DsmProcess:
         hp = self.home[page]
         needed = entry.needed_v
         if needed is not None and not hp.ready_for(needed):
-            t0 = self.engine.now
-            fut = Future(f"homewait p{page} @{self.pid}")
-            self._home_waiting[page] = fut
-            hp.wait_fetch(self.pid, needed, lambda: fut.resolve(None))
-            yield fut
-            self.cpu.stats.add(TimeBucket.PAGE_WAIT, self.engine.now - t0)
+            yield from self.hooks.op_span(
+                self, "home_wait", page, self._home_wait(page, hp, needed)
+            )
         entry.needed_v = None
+
+    def _home_wait(self, page: PageId, hp: Any, needed: VClock) -> Iterator[Any]:
+        t0 = self.engine.now
+        fut = Future(f"homewait p{page} @{self.pid}")
+        self._home_waiting[page] = fut
+        hp.wait_fetch(self.pid, needed, lambda: fut.resolve(None))
+        yield fut
+        self._waited("home_wait", TimeBucket.PAGE_WAIT, t0)
+
+    def _waited(self, kind: str, bucket: TimeBucket, t0: float) -> None:
+        """Charge the wait of a ``kind`` operation that began at ``t0``
+        and ends now: the one place the protocol charges a wait bucket."""
+        wait = self.engine.now - t0
+        self.cpu.stats.add(bucket, wait)
+        hooks = self.hooks.wait
+        if hooks:
+            for fn in hooks:
+                fn(self, kind, bucket, wait)
 
     # ------------------------------------------------------------------
     # interval flush
@@ -437,6 +447,9 @@ class DsmProcess:
         """Flush dirty pages: create diffs + notices, send diffs to homes."""
         if not self._dirty:
             return
+        yield from self.hooks.op_span(self, "flush", len(self._dirty), self._flush())
+
+    def _flush(self) -> Iterator[Any]:
         dirty, self._dirty = self._dirty, []
         new_interval = self.vt[self.pid] + 1
         self.vt = self.vt.bump(self.pid)
@@ -493,6 +506,9 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def acquire(self, lock_id: int) -> Iterator[Any]:
         """Acquire a global lock (LRC acquire semantics)."""
+        yield from self.hooks.op_span(self, "acquire", lock_id, self._acquire(lock_id))
+
+    def _acquire(self, lock_id: int) -> Iterator[Any]:
         yield from self.cpu.drain_debt()
         yield from self._end_interval()
         seq = self._acq_seq.get(lock_id, 0) + 1
@@ -527,11 +543,7 @@ class DsmProcess:
         else:
             self._send(manager, req)
         grant: LockGrant = yield fut
-        wait = self.engine.now - t0
-        self.cpu.stats.add(TimeBucket.LOCK_WAIT, wait)
-        if self.obs is not None:
-            self.obs.lock_wait.observe(wait)
-            self.obs.lock_lat.observe(wait)
+        self._waited("acquire", TimeBucket.LOCK_WAIT, t0)
         self._complete_acquire(lock_id, grant, local=False)
         yield from self.cpu.charge(
             TimeBucket.OVERHEAD,
@@ -554,9 +566,17 @@ class DsmProcess:
         self.stats.lock_acquires += 1
         if not local:
             self.ft.on_acquire_done(lock_id, grant.grantor, self.vt)
+        commit = self.hooks.commit
+        if commit:
+            arg = (lock_id, None if local else grant.grantor)
+            for fn in commit:
+                fn(self, "acquire", arg)
 
     def release(self, lock_id: int) -> Iterator[Any]:
         """Release a lock: flush the interval, then pass the token if owed."""
+        yield from self.hooks.op_span(self, "release", lock_id, self._release(lock_id))
+
+    def _release(self, lock_id: int) -> Iterator[Any]:
         yield from self.cpu.drain_debt()
         st = self.locks.token(lock_id)
         if not st.held:
@@ -643,6 +663,11 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def barrier(self) -> Iterator[Any]:
         """Global barrier over all processes."""
+        yield from self.hooks.op_span(
+            self, "barrier", self.barrier_episode, self._barrier()
+        )
+
+    def _barrier(self) -> Iterator[Any]:
         yield from self.cpu.drain_debt()
         yield from self.ft.at_sync_point(at_barrier=True)
         yield from self._end_interval()
@@ -683,11 +708,7 @@ class DsmProcess:
             self._send(mgr, arrive)
         release: BarrierRelease = yield fut
         self._pending_arrive = None
-        wait = self.engine.now - t0
-        self.cpu.stats.add(TimeBucket.BARRIER_WAIT, wait)
-        if self.obs is not None:
-            self.obs.barrier_wait.observe(wait)
-            self.obs.barrier_lat.observe(wait)
+        self._waited("barrier", TimeBucket.BARRIER_WAIT, t0)
         self._complete_barrier(release)
         yield from self.cpu.charge(
             TimeBucket.OVERHEAD,
@@ -702,8 +723,10 @@ class DsmProcess:
         self.barrier_episode += 1
         self.stats.barriers += 1
         self.ft.on_barrier_done(release.episode, release.global_vt)
-        if self.obs is not None:
-            self.obs.on_barrier(release.episode)
+        commit = self.hooks.commit
+        if commit:
+            for fn in commit:
+                fn(self, "barrier", release.episode)
 
     # ------------------------------------------------------------------
     # invalidations

@@ -57,12 +57,11 @@ __all__ = [
     "recovery_distributions",
 ]
 
-#: sweep JSON schema: 1 = no ``schema`` key, points carry outcome
-#: counters only; 2 adds per-point ``recovery_phases`` (one record per
+#: sweep JSON schema: 2 = per-point ``recovery_phases`` (one record per
 #: completed recovery: detect/restore/handshake/replay/resume/total
 #: durations plus replica-fetch counters) and the aggregated
-#: ``recovery_by_class`` distributions. Readers accept both via
-#: :func:`load_sweep`.
+#: ``recovery_by_class`` distributions. (Schema 1, without a ``schema``
+#: key, carried outcome counters only; it is no longer read.)
 SWEEP_SCHEMA = 2
 
 CLASSES = (
@@ -292,13 +291,11 @@ def render_recovery_by_class(by_class: Dict[str, Dict[str, Any]]) -> str:
 
 
 def load_sweep(source: Any) -> Dict[str, Any]:
-    """Load a sweep JSON artifact, normalizing schema v1 to v2.
+    """Load a schema-2 sweep JSON artifact.
 
-    ``source`` is a path or an already-parsed dict. v1 artifacts (no
-    ``schema`` key — e.g. the ``tests/fixtures/SWEEP_counter*_v1.json``
-    fixtures) gain ``schema: 1`` left as-is for provenance plus empty
-    ``recovery_phases``/``recovery_by_class`` fields, so readers can
-    treat every sweep uniformly. v2 artifacts pass through unchanged.
+    ``source`` is a path or an already-parsed dict; anything that is not
+    a schema-2 sweep (including a schema-less v1 one) raises
+    ``ValueError`` — re-run the campaign to get a current artifact.
     """
     if isinstance(source, dict):
         data = source
@@ -307,13 +304,9 @@ def load_sweep(source: Any) -> Dict[str, Any]:
             data = json.load(fh)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError("not a sweep artifact: missing 'points'")
-    schema = data.get("schema", 1)
-    if schema not in (1, SWEEP_SCHEMA):
+    schema = data.get("schema")
+    if schema != SWEEP_SCHEMA:
         raise ValueError(f"unsupported sweep schema {schema!r}")
-    data.setdefault("schema", 1)
-    data.setdefault("recovery_by_class", {})
-    for pt in data["points"]:
-        pt.setdefault("recovery_phases", [])
     return data
 
 

@@ -4,7 +4,7 @@ The repo's pipelines each leave one kind of artifact in ``benchmarks/``:
 
 * ``OBSERVE_<app>.jsonl`` — run reports (series/hists/latency records)
 * ``TRACE_<app>.json``    — Chrome trace-event span DAGs
-* ``SWEEP_<app>*.json``   — crash-sweep campaign summaries (schema 1/2)
+* ``SWEEP_<app>*.json``   — crash-sweep campaign summaries (schema 2)
 * ``BENCH_*.json``        — benchmark baselines with before/after pairs
 * ``FLIGHT_<app>.json``   — invariant-monitor crash flight records
 

@@ -109,11 +109,6 @@ def _sweep_sections(dash: Dict[str, Any]) -> List[str]:
         by_class = d.get("recovery_by_class") or {}
         if by_class:
             lines.append(render_recovery_by_class(by_class))
-        elif d.get("schema") == 1:
-            lines.append(
-                "  (schema v1 artifact: no recovery-phase records; re-run "
-                "the sweep to collect recovery anatomy)"
-            )
         out.append("\n".join(lines))
     return out
 

@@ -1,14 +1,14 @@
 """Online invariant monitor: the paper's theorems as runtime assertions.
 
-An :class:`InvariantMonitor` attaches to a
-:class:`~repro.cluster.DsmCluster` *before* ``run`` and continuously
-checks five invariant classes derived from the paper (Sultan et al.,
-SC 2000); see DESIGN.md §9 for the catalog mapping each check to its
-theorem/section. Like the observer and the span tracer it is strictly
-read-only: it wraps the network send/deliver entry points, chains onto
-the cluster probe hook and installs the engine's event tap, but performs
-no scheduling, no sends and no state mutation — a monitored run is
-bit-identical to an unmonitored one (golden-determinism test).
+An :class:`InvariantMonitor` subscribes to a
+:class:`~repro.cluster.DsmCluster`'s instrumentation bus (the ``send``,
+``deliver``, ``probe`` and ``event`` hook points, :mod:`repro.sim.hooks`)
+and continuously checks five invariant classes derived from the paper
+(Sultan et al., SC 2000); see DESIGN.md §9 for the catalog mapping each
+check to its theorem/section. Like the observer and the span tracer it
+is strictly read-only: it performs no scheduling, no sends and no state
+mutation — a monitored run is bit-identical to an unmonitored one
+(golden-determinism test).
 
 The five invariant classes:
 
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -212,44 +212,10 @@ class InvariantMonitor:
         self._homes: Optional[Dict[Any, int]] = None
         #: home pid -> its pages (built with _homes)
         self._pages_by_home: Dict[int, List[Any]] = {}
-        self._install()
-
-    # ==================================================================
-    # attachment (read-only wrapping, tracer-style chaining)
-    # ==================================================================
-    def _install(self) -> None:
-        cluster = self.cluster
-        net = cluster.network
-        mon = self
-
-        orig_send = net.send
-
-        def send(src: int, dst: int, payload: Any, size: int,
-                 category: str, ft_bytes: int = 0) -> None:
-            mon._on_send(src, dst, payload)
-            orig_send(src, dst, payload, size, category, ft_bytes)
-
-        net.send = send
-
-        orig_deliver = net._deliver
-
-        def deliver(src: int, dst: int, payload: Any, epoch: int,
-                    size: int = 0) -> None:
-            mon._on_deliver(src, dst, payload)
-            orig_deliver(src, dst, payload, epoch, size)
-
-        net._deliver = deliver
-
-        orig_probe = cluster.probe
-
-        def probe(pid: int, kind: str, detail: str) -> None:
-            mon._on_probe(pid, kind, detail)
-            if orig_probe is not None:
-                orig_probe(pid, kind, detail)
-
-        cluster.probe = probe
-
-        cluster.engine.event_tap = self.recorder.on_engine_event
+        cluster.hooks.subscribe(
+            send=self._on_send, deliver=self._on_deliver,
+            probe=self._on_probe, event=self.recorder.on_engine_event,
+        )
 
     # ==================================================================
     # event handlers
@@ -261,7 +227,8 @@ class InvariantMonitor:
         eng = self.cluster.engine
         self.recorder.on_message("send", eng.now, eng.steps, src, dst, payload)
 
-    def _on_deliver(self, src: int, dst: int, payload: Any) -> None:
+    def _on_deliver(self, src: int, dst: int, payload: Any,
+                    dropped: bool) -> None:
         q = self._chan.get((src, dst))
         if not q:
             self._violate(
@@ -291,7 +258,7 @@ class InvariantMonitor:
             "deliver", eng.now, eng.steps, src, dst, payload
         )
 
-    def _on_probe(self, pid: int, kind: str, detail: str) -> None:
+    def _on_probe(self, pid: int, kind: str, detail: str, data: Any) -> None:
         eng = self.cluster.engine
         self.recorder.on_probe(eng.now, eng.steps, pid, kind, detail)
         if kind == "llt":

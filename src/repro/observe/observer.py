@@ -18,10 +18,14 @@ when it is the only remaining event, so a deadlocked run still drains
 its queue and reaches the cluster's deadlock diagnostics instead of
 spinning on samples.
 
-Per-node gauges close over the :class:`~repro.cluster.ProcHost` (not the
-protocol object) so they survive crash/recovery incarnations; hosts
-re-attach probes to fresh ``DsmProcess``/``FtManager`` instances via
-``cluster.observer``.
+Everything else the observer records arrives on the cluster's
+instrumentation bus (:mod:`repro.sim.hooks`): protocol waits (``wait``),
+barrier completions and checkpoints (``commit``), LLT/CGC passes,
+checkpoint writes, replica acks and completed recoveries (``probe``) and
+the applications' own latencies (``latency``). Every protocol and FT
+incarnation emits on the same bus, and per-node gauges close over the
+:class:`~repro.cluster.ProcHost` (not the protocol object), so the
+observer survives crash/recovery without re-attaching anything.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
+from repro.sim.node import TimeBucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster import DsmCluster, ProcHost
@@ -37,16 +42,11 @@ __all__ = ["ClusterObserver", "NodeProbe"]
 
 
 class NodeProbe:
-    """Per-process handle the protocol layer calls into.
-
-    Pre-resolved histogram references keep the instrumented hot paths to
-    one attribute load + method call; the protocol guards every use with
-    ``self.obs is not None`` so unobserved runs pay a single attribute
-    check.
-    """
+    """One process's pre-resolved instruments: the wait histograms and
+    latency distributions its bus events feed, one dict lookup away."""
 
     __slots__ = ("pid", "observer", "fetch_wait", "lock_wait", "barrier_wait",
-                 "fetch_lat", "lock_lat", "barrier_lat")
+                 "fetch_lat", "lock_lat", "barrier_lat", "waits")
 
     def __init__(self, observer: "ClusterObserver", pid: int) -> None:
         self.pid = pid
@@ -60,9 +60,13 @@ class NodeProbe:
         self.fetch_lat = reg.latency("lat.fetch", pid)
         self.lock_lat = reg.latency("lat.acquire", pid)
         self.barrier_lat = reg.latency("lat.barrier", pid)
-
-    def on_barrier(self, episode: int) -> None:
-        self.observer.on_barrier(episode)
+        #: wait kind -> (fixed-bucket histogram, percentile distribution);
+        #: home waits are not observed
+        self.waits = {
+            "fetch": (self.fetch_wait, self.fetch_lat),
+            "acquire": (self.lock_wait, self.lock_lat),
+            "barrier": (self.barrier_wait, self.barrier_lat),
+        }
 
     def app_latency(self, name: str):
         """Application-level latency op class for this node.
@@ -106,16 +110,18 @@ class ClusterObserver:
         self._next_episode = 0
         #: (steps, now) at the previous sample, for the events/sec series
         self._last_rate_point = (0, 0.0)
-        cluster.observer = self
+        #: pid -> {seqno: virtual time its replica commit was sent},
+        #: drained by the buddy's cumulative ack (transfer/ack lag)
+        self._commit_sent: Dict[int, Dict[int, float]] = {}
         self._install_cluster_gauges()
         for host in cluster.hosts:
             self._install_host_gauges(host)
-            # protos/FT managers exist only after cluster.setup(); attach
-            # now if they are already there (direct-driven unit tests)
-            if host.proto is not None:
-                host.proto.obs = self.node_probe(host.pid)
-            if host.ft is not None:
-                host.ft.obs = self
+        for host in cluster.hosts:
+            self.node_probe(host.pid)
+        cluster.hooks.subscribe(
+            wait=self._on_wait, commit=self._on_commit, probe=self._on_probe,
+            latency=self._on_latency,
+        )
         if interval is not None:
             if interval <= 0:
                 raise ValueError(f"sample interval must be positive: {interval}")
@@ -255,7 +261,57 @@ class ClusterObserver:
             engine.schedule(self.interval, self._tick)
 
     # ------------------------------------------------------------------
-    # FT-layer hooks (called by FtManager behind an `obs is None` guard)
+    # bus subscribers
+    # ------------------------------------------------------------------
+    def _on_wait(self, proc: Any, kind: str, bucket: TimeBucket,
+                 seconds: float) -> None:
+        pair = self._probes[proc.pid].waits.get(kind)
+        if pair is not None:
+            pair[0].observe(seconds)
+            pair[1].observe(seconds)
+
+    def _on_commit(self, proc: Any, kind: str, arg: Any) -> None:
+        if kind == "barrier":
+            self.on_barrier(arg)
+        elif kind == "ckpt":
+            self.on_checkpoint(proc.pid, arg, proc.ft.logs.diff.saved_bytes)
+
+    def _on_latency(self, proc: Any, name: str, seconds: float) -> None:
+        self._probes[proc.pid].app_latency(name).observe(seconds)
+
+    def _on_probe(self, pid: int, kind: str, detail: str, data: Any) -> None:
+        if kind == "llt":
+            self.on_llt(pid, data)
+        elif kind == "cgc":
+            self.on_cgc(pid, data)
+        elif kind == "ckpt_write":
+            if data is not None:  # the end probe carries the duration
+                self.on_ckpt_write(pid, data)
+        elif kind == "repl":
+            if detail.startswith("retarget"):
+                # commits sent to the old buddy will never be acked
+                self._commit_sent.pop(pid, None)
+            elif detail.startswith("commit"):
+                self._commit_sent.setdefault(pid, {})[data] = (
+                    self.cluster.engine.now
+                )
+            elif detail.startswith("ack"):
+                # acks are cumulative: this one covers every commit sent
+                # at or before its seqno
+                sent = self._commit_sent.get(pid, {})
+                now = self.cluster.engine.now
+                for seqno in sorted(sent):
+                    if seqno > data:
+                        break
+                    self.on_replica_ack(pid, now - sent.pop(seqno))
+        elif kind == "failure":
+            # the replicator's commit/ack stream dies with the incarnation
+            self._commit_sent.pop(pid, None)
+        elif kind == "recovery" and detail == "live":
+            self.on_recovery_phases(pid, data)
+
+    # ------------------------------------------------------------------
+    # FT-layer accounting
     # ------------------------------------------------------------------
     def on_checkpoint(self, pid: int, ckpt_no: int, disk_log_bytes: int) -> None:
         """Record the Figure 4 point: stable log size at checkpoint N."""

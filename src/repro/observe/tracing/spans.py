@@ -1,41 +1,39 @@
 """Causal span tracing: a span DAG with message edges over one run.
 
-A :class:`SpanTracer` attaches to a :class:`~repro.cluster.DsmCluster`
-*before* ``run`` and upgrades observability from flat events (the
-:class:`~repro.sim.trace.Tracer` timeline) to a **span DAG**: every
-blocking protocol operation becomes a span ``[t0, t1]`` on its node's
-timeline, and every message becomes a **causal edge** between the span
-that sent it and the node that received it. On top of the DAG live the
-critical-path analysis (``critpath.py``) and the Chrome trace-event
-export (``export.py``).
+A :class:`SpanTracer` subscribes to a :class:`~repro.cluster.DsmCluster`'s
+instrumentation bus (:mod:`repro.sim.hooks`) and upgrades observability
+from flat events (the :class:`~repro.sim.trace.Tracer` timeline) to a
+**span DAG**: every blocking protocol operation becomes a span
+``[t0, t1]`` on its node's timeline, and every message becomes a
+**causal edge** between the span that sent it and the node that
+received it. On top of the DAG live the critical-path analysis
+(``critpath.py``) and the Chrome trace-event export (``export.py``).
 
 Span kinds
 ----------
-* op spans, opened/closed by wrapping the protocol coroutines:
-  ``app`` (one per incarnation of a node's application main),
+* op spans, opened/closed by the ``op`` hook point's begin and
+  end/abort: ``app`` (one per incarnation of a node's application main),
   ``compute``, ``fetch``, ``home_wait``, ``acquire``, ``barrier``,
   ``flush`` (interval flush with dirty pages), ``ckpt`` (the whole
   checkpoint operation);
-* probe spans, derived from ``cluster.probe`` events: ``ckpt_write``
+* probe spans, derived from ``probe`` events: ``ckpt_write``
   (the stable-storage write, between the FT manager's existing
   begin/end probes) and ``recovery`` (failure-detection to live
   switch);
 * wait spans, created *retroactively* whenever the protocol charges a
   wait bucket: ``page_wait``, ``lock_wait``, ``barrier_wait``. The
-  protocol calls ``cpu.stats.add(bucket, seconds)`` exactly once per
-  wait, at the instant the wait ends, with the exact waited duration —
-  so wait spans reconcile with the :class:`~repro.sim.node.TimeStats`
+  protocol emits ``wait`` exactly once per wait, at the instant the
+  wait ends and its bucket is charged, with the exact waited duration
+  — so wait spans reconcile with the :class:`~repro.sim.node.TimeStats`
   bucket totals *by construction* (the invariant
   ``critpath.reconcile_with_time_stats`` checks).
 
 Read-only guarantee
 -------------------
-The tracer only wraps callables and records; it sends no messages,
-charges no CPU, schedules no events and never mutates protocol state
-(message identity is tracked in a side table keyed by ``id(msg)``, the
-same never-touch-the-payload discipline the observer uses for
-``cluster.probe``). The golden determinism test passes with a
-SpanTracer attached.
+The tracer only records; it sends no messages, charges no CPU,
+schedules no events and never mutates protocol state (message identity
+is tracked in a side table keyed by ``id(msg)``). The golden
+determinism test passes with a SpanTracer attached.
 
 Crash/recovery semantics
 ------------------------
@@ -146,6 +144,23 @@ class CausalEdge:
     status: str = "inflight"  # inflight | delivered | dropped
 
 
+def _page_op(page: Any) -> Tuple[str, Tuple]:
+    return f"page {tuple(page)}", ("page", tuple(page))
+
+
+#: op kind -> arg -> (span detail, span key) at the op's begin
+_OP_DETAIL: Dict[str, Callable[[Any], Tuple[str, Optional[Tuple]]]] = {
+    "app": lambda incarnation: (f"incarnation {incarnation}", None),
+    "compute": lambda seconds: ("", None),
+    "fetch": _page_op,
+    "home_wait": _page_op,
+    "acquire": lambda lock_id: (f"L{lock_id}", ("lock", lock_id)),
+    "barrier": lambda episode: (f"ep{episode}", ("barrier", episode)),
+    "flush": lambda dirty: (f"{dirty} dirty", None),
+    "ckpt": lambda arg: ("", None),
+}
+
+
 def _edge_key(msg: Any) -> Tuple:
     if isinstance(msg, (PageFetchReq, PageFetchReply, DiffMsg)):
         return ("page", tuple(msg.page))
@@ -190,7 +205,13 @@ class SpanTracer:
         self._inflight: Dict[int, List[CausalEdge]] = {}
         #: delivered edges per destination pid, in arrival order
         self._delivered: Dict[int, List[CausalEdge]] = {}
-        self._install()
+        #: op spans per pid in begin order; a pid's ops nest strictly
+        #: (one coroutine at a time), so an op's end closes the last one
+        self._ops: Dict[int, List[Span]] = {}
+        cluster.hooks.subscribe(
+            send=self._on_send, deliver=self._on_deliver, op=self._on_op,
+            wait=self._on_wait, probe=self._on_probe,
+        )
 
     # ------------------------------------------------------------------
     # span bookkeeping
@@ -258,11 +279,12 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # wait spans (retroactive, exact by construction)
     # ------------------------------------------------------------------
-    def _on_wait(self, proto: Any, bucket: TimeBucket, seconds: float) -> None:
+    def _on_wait(self, proc: Any, kind: str, bucket: TimeBucket,
+                 seconds: float) -> None:
         parent_kinds = _WAIT_PARENTS.get(bucket)
         if parent_kinds is None:
             return
-        pid = proto.pid
+        pid = proc.pid
         now = self.engine.now
         t0 = now - seconds
         parent = self._innermost(pid, parent_kinds)
@@ -320,211 +342,61 @@ class SpanTracer:
         return fallback
 
     # ------------------------------------------------------------------
-    # installation
+    # bus subscribers
     # ------------------------------------------------------------------
-    def _install(self) -> None:
-        cluster = self.cluster
-        tracer = self
-
-        # message sends -> causal edges (side table; payload untouched)
-        orig_send = cluster.send
-
-        def send(src: int, dst: int, msg: Any) -> None:
-            if len(tracer.edges) >= tracer.max_edges:
-                tracer.dropped_edges += 1
-            else:
-                open_span = tracer._innermost(src)
-                edge = CausalEdge(
-                    eid=len(tracer.edges),
-                    src=src,
-                    dst=dst,
-                    t_send=tracer.engine.now,
-                    msg_type=type(msg).__name__,
-                    key=_edge_key(msg),
-                    src_span=open_span.sid if open_span is not None else None,
-                )
-                tracer.edges.append(edge)
-                tracer._inflight.setdefault(id(msg), []).append(edge)
-            orig_send(src, dst, msg)
-
-        cluster.send = send
-
-        # deliveries close the edges (epoch-flushed messages are dropped,
-        # not dangling — the coordinated baseline's global rollback)
-        network = cluster.network
-        orig_deliver = network._deliver
-
-        def _deliver(
-            src: int, dst: int, payload: Any, epoch: int, size: int = 0
-        ) -> None:
-            pending = tracer._inflight.get(id(payload))
-            if pending:
-                edge = pending.pop(0)
-                if not pending:
-                    del tracer._inflight[id(payload)]
-                if epoch != network.epoch:
-                    edge.status = "dropped"
-                else:
-                    edge.t_recv = tracer.engine.now
-                    edge.status = "delivered"
-                    open_span = tracer._innermost(dst)
-                    edge.dst_span = (
-                        open_span.sid if open_span is not None else None
-                    )
-                    tracer._delivered.setdefault(dst, []).append(edge)
-            orig_deliver(src, dst, payload, epoch, size)
-
-        network._deliver = _deliver
-
-        # every protocol incarnation (setup AND recovery) flows through
-        # host.make_protocol — wrapping it here is what lets spans
-        # survive crash/recovery without touching the recovery code
-        for host in cluster.hosts:
-            self._hook_host(host)
-
-        # one app span per incarnation (start() and recovery both call
-        # cluster._app_main through the instance attribute)
-        orig_app_main = cluster._app_main
-
-        def _app_main(host: Any):
-            span = tracer._open_span(
-                host.pid, "app", f"incarnation {host.crashed_count}"
-            )
-            try:
-                result = yield from orig_app_main(host)
-            finally:
-                tracer._close_span(span)
-            return result
-
-        cluster._app_main = _app_main
-
-        # checkpoint spans need the FtManager, which is (re)created by
-        # _install_ft at setup and at every recovery
-        orig_install_ft = cluster._install_ft
-
-        def _install_ft(host: Any) -> None:
-            orig_install_ft(host)
-            tracer._hook_ft(host)
-
-        cluster._install_ft = _install_ft
-
-        # probe events: failure (abandon open spans), ckpt_write
-        # begin/end, recovery lifecycle; chain onto any consumer
-        orig_probe = cluster.probe
-
-        def probe(pid: int, kind: str, detail: str) -> None:
-            tracer._on_probe(pid, kind, detail)
-            if orig_probe is not None:
-                orig_probe(pid, kind, detail)
-
-        cluster.probe = probe
-
-    def _hook_host(self, host: Any) -> None:
-        tracer = self
-        orig_make = host.make_protocol
-
-        def make_protocol() -> Any:
-            proto = orig_make()
-            tracer._hook_proto(proto)
-            return proto
-
-        host.make_protocol = make_protocol
-
-    def _hook_proto(self, proto: Any) -> None:
-        """Wrap one incarnation's blocking operations and wait charges."""
-        tracer = self
-        pid = proto.pid
-
-        # exact wait spans: the protocol calls stats.add once per wait,
-        # at the instant it ends, with the exact duration
-        stats = proto.cpu.stats
-        orig_add = stats.add
-
-        def add(bucket: TimeBucket, seconds: float) -> None:
-            orig_add(bucket, seconds)
-            tracer._on_wait(proto, bucket, seconds)
-
-        stats.add = add
-
-        def wrap(name: str, kind: str, detail_fn=None, key_fn=None, skip=None):
-            orig = getattr(proto, name)
-
-            def wrapped(*args: Any):
-                if skip is not None and skip(*args):
-                    result = yield from orig(*args)
-                    return result
-                span = tracer._open_span(
-                    pid,
-                    kind,
-                    detail_fn(*args) if detail_fn is not None else "",
-                    key_fn(*args) if key_fn is not None else None,
-                )
-                try:
-                    result = yield from orig(*args)
-                finally:
-                    tracer._close_span(span)
-                return result
-
-            setattr(proto, name, wrapped)
-
-        wrap("compute", "compute")
-        wrap(
-            "_fetch",
-            "fetch",
-            detail_fn=lambda page, entry: f"page {tuple(page)}",
-            key_fn=lambda page, entry: ("page", tuple(page)),
-        )
-        wrap(
-            "_ensure_home_ready",
-            "home_wait",
-            detail_fn=lambda page, entry: f"page {tuple(page)}",
-            key_fn=lambda page, entry: ("page", tuple(page)),
-            # pure pre-check mirroring _ensure_home_ready's wait
-            # condition: only actual home waits get a span
-            skip=lambda page, entry: (
-                proto.replay is not None
-                or entry.needed_v is None
-                or proto.home[page].ready_for(entry.needed_v)
-            ),
-        )
-        wrap(
-            "acquire",
-            "acquire",
-            detail_fn=lambda lock_id: f"L{lock_id}",
-            key_fn=lambda lock_id: ("lock", lock_id),
-        )
-        wrap(
-            "barrier",
-            "barrier",
-            detail_fn=lambda: f"ep{proto.barrier_episode}",
-            key_fn=lambda: ("barrier", proto.barrier_episode),
-        )
-        wrap(
-            "_end_interval",
-            "flush",
-            detail_fn=lambda: f"{len(proto._dirty)} dirty",
-            skip=lambda: not proto._dirty,
-        )
-
-    def _hook_ft(self, host: Any) -> None:
-        tracer = self
-        ft = host.ft
-        take = getattr(ft, "take_checkpoint", None)
-        if take is None:
+    def _on_send(self, src: int, dst: int, msg: Any) -> None:
+        """A message leaves: open its causal edge (side table keyed by
+        ``id(msg)``; the payload is never touched)."""
+        if len(self.edges) >= self.max_edges:
+            self.dropped_edges += 1
             return
+        open_span = self._innermost(src)
+        edge = CausalEdge(
+            eid=len(self.edges),
+            src=src,
+            dst=dst,
+            t_send=self.engine.now,
+            msg_type=type(msg).__name__,
+            key=_edge_key(msg),
+            src_span=open_span.sid if open_span is not None else None,
+        )
+        self.edges.append(edge)
+        self._inflight.setdefault(id(msg), []).append(edge)
 
-        def take_checkpoint(*args: Any, **kwargs: Any):
-            span = tracer._open_span(host.pid, "ckpt")
-            try:
-                result = yield from take(*args, **kwargs)
-                span.detail = f"#{ft.stats.checkpoints_taken}"
-            finally:
-                tracer._close_span(span)
-            return result
+    def _on_deliver(self, src: int, dst: int, msg: Any, dropped: bool) -> None:
+        """A message arrives (or is flushed with a rolled-back epoch, the
+        coordinated baseline's global rollback): close its edge."""
+        pending = self._inflight.get(id(msg))
+        if not pending:
+            return
+        edge = pending.pop(0)
+        if not pending:
+            del self._inflight[id(msg)]
+        if dropped:
+            edge.status = "dropped"
+            return
+        edge.t_recv = self.engine.now
+        edge.status = "delivered"
+        open_span = self._innermost(dst)
+        edge.dst_span = open_span.sid if open_span is not None else None
+        self._delivered.setdefault(dst, []).append(edge)
 
-        ft.take_checkpoint = take_checkpoint
+    def _on_op(self, proc: Any, kind: str, phase: str, arg: Any) -> None:
+        """Op spans: every protocol incarnation emits on the same bus,
+        so spans survive crash/recovery with no re-attachment."""
+        if kind not in _OP_DETAIL:
+            return  # release: no span of its own
+        ops = self._ops.setdefault(proc.pid, [])
+        if phase == "begin":
+            detail, key = _OP_DETAIL[kind](arg)
+            ops.append(self._open_span(proc.pid, kind, detail, key))
+            return
+        span = ops.pop()
+        if kind == "ckpt" and phase == "end":
+            span.detail = f"#{proc.ft.stats.checkpoints_taken}"
+        self._close_span(span)
 
-    def _on_probe(self, pid: int, kind: str, detail: str) -> None:
+    def _on_probe(self, pid: int, kind: str, detail: str, data: Any) -> None:
         if kind == "failure":
             # emitted by cluster.crash after its guard, before the kill:
             # everything open on the victim dies with the incarnation

@@ -2,7 +2,8 @@
 
 This package is the hardware substrate substituted for the paper's real
 8-node Myrinet cluster (see DESIGN.md §1): a virtual-time event engine
-(:mod:`repro.sim.engine`), a reliable FIFO network with a latency+bandwidth
+(:mod:`repro.sim.engine`) with its instrumentation bus
+(:mod:`repro.sim.hooks`), a reliable FIFO network with a latency+bandwidth
 cost model (:mod:`repro.sim.network`), per-node CPU time accounting
 (:mod:`repro.sim.node`), a stable-storage model (:mod:`repro.sim.storage`),
 fail-stop failure injection (:mod:`repro.sim.failure`) and the cluster
@@ -11,6 +12,7 @@ wiring that runs application processes as coroutines
 """
 
 from repro.sim.engine import Delay, Engine, Future, SimProcessKilled
+from repro.sim.hooks import Hooks
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import TimeBucket, TimeStats
 from repro.sim.storage import CheckpointStore, Disk, DiskConfig
@@ -20,6 +22,7 @@ __all__ = [
     "Engine",
     "Future",
     "SimProcessKilled",
+    "Hooks",
     "Network",
     "NetworkConfig",
     "TimeBucket",

@@ -40,6 +40,8 @@ from collections import deque
 from functools import partial
 from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
 
+from repro.sim.hooks import Hooks
+
 __all__ = [
     "Delay",
     "Future",
@@ -189,15 +191,11 @@ class Engine:
         #: costs one int comparison per event in the main loop.
         self._breakpoints: List[Tuple[int, Callable[[], None]]] = []
         self._next_break: int = -1
-        #: optional per-event observer: called as ``tap(time, step, fn)``
-        #: right before each event executes (so the event that raises is
-        #: the last one recorded). Consumers must only record — the hook
-        #: is for the invariant monitor's flight recorder. Disabled (the
-        #: common case) this costs one local None-check per event,
-        #: mirroring the breakpoint arm check.
-        self.event_tap: Optional[
-            Callable[[float, int, Callable[[], None]], None]
-        ] = None
+        #: the instrumentation bus, shared with the network and every
+        #: process of the cluster; ``run`` emits ``event`` right before
+        #: each event executes (so the event that raises is the last one
+        #: a subscriber saw)
+        self.hooks = Hooks()
 
     # ------------------------------------------------------------------
     # event scheduling
@@ -308,7 +306,7 @@ class Engine:
         heap = self._queue
         ready = self._ready
         steps = self.steps
-        tap = self.event_tap
+        event = self.hooks.event
         try:
             while ready or heap:
                 if stop is not None and stop():
@@ -339,8 +337,9 @@ class Engine:
                     raise SimulationError("time went backwards")
                 steps += 1
                 self.steps = steps
-                if tap is not None:
-                    tap(t, steps, ev[2])
+                if event:
+                    for fn in event:
+                        fn(t, steps, ev[2])
                 ev[2]()
                 if steps == self._next_break:
                     self._fire_breakpoints()

@@ -103,6 +103,7 @@ class Network:
 
     def __init__(self, engine: Engine, n: int, config: Optional[NetworkConfig] = None):
         self.engine = engine
+        self.hooks = engine.hooks
         self.n = n
         self.config = config or NetworkConfig()
         self.traffic = TrafficStats()
@@ -170,6 +171,10 @@ class Network:
     def _deliver(
         self, src: int, dst: int, payload: Any, epoch: int, size: int = 0
     ) -> None:
+        deliver = self.hooks.deliver
+        if deliver:
+            for fn in deliver:
+                fn(src, dst, payload, epoch != self.epoch)
         self.inflight_bytes -= size
         self.inflight_msgs -= 1
         if epoch != self.epoch:

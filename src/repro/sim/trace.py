@@ -1,7 +1,7 @@
 """Structured event tracing for protocol debugging and teaching.
 
-A :class:`Tracer` attaches to a :class:`~repro.cluster.DsmCluster`
-*before* ``run`` and records protocol-level events with virtual
+A :class:`Tracer` subscribes to a :class:`~repro.cluster.DsmCluster`'s
+instrumentation bus and records protocol-level events with virtual
 timestamps: message sends, lock acquires/releases, barrier passages,
 interval flushes, page fetches, checkpoints, crashes and recoveries.
 Events are plain records, filterable and renderable as a timeline —
@@ -15,8 +15,8 @@ the simulator's answer to a real DSM's debug logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -43,12 +43,14 @@ class TraceEvent:
 
 
 class Tracer:
-    """Records cluster events by wrapping the protocol entry points.
+    """Formats the cluster's bus events (:mod:`repro.sim.hooks`) as a
+    flat timeline.
 
-    The ``ckpt_write`` and ``recovery`` kinds come from the cluster's
-    probe hook (begin/end of checkpoint disk writes, recovery lifecycle)
-    rather than from wrapped methods; the tracer chains onto any probe
-    consumer already attached.
+    ``send`` comes from the send hook; ``lock``/``barrier``/``ckpt``
+    from the release op and the commit points (lock acquired, barrier
+    passed, checkpoint taken); ``flush``/``fetch`` from completed ops;
+    every other kind is a probe (fail-stops, checkpoint disk writes,
+    recovery lifecycle and phases, replication).
     """
 
     KINDS = {
@@ -79,7 +81,10 @@ class Tracer:
         self.max_events = max_events
         self.events: List[TraceEvent] = []
         self.dropped = 0
-        self._install()
+        cluster.hooks.subscribe(
+            send=self._on_send, probe=self._on_probe, op=self._on_op,
+            commit=self._on_commit,
+        )
 
     # ------------------------------------------------------------------
     def _emit(self, pid: int, kind: str, detail: str) -> None:
@@ -88,119 +93,43 @@ class Tracer:
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return
+        engine = self.cluster.engine
         self.events.append(
-            TraceEvent(
-                self.cluster.engine.now,
-                pid,
-                kind,
-                detail,
-                self.cluster.engine.steps,
-            )
+            TraceEvent(engine.now, pid, kind, detail, engine.steps)
         )
 
-    def _install(self) -> None:
-        cluster = self.cluster
-        tracer = self
+    def _on_send(self, src: int, dst: int, msg: Any) -> None:
+        self._emit(
+            src, "send", f"-> p{dst}  {type(msg).__name__} ({msg.category})"
+        )
 
-        # message sends
-        orig_send = cluster.send
+    def _on_probe(self, pid: int, kind: str, detail: str, data: Any) -> None:
+        self._emit(pid, kind, detail)
 
-        def send(src: int, dst: int, msg: Any) -> None:
-            tracer._emit(
-                src, "send", f"-> p{dst}  {type(msg).__name__} ({msg.category})"
+    def _on_commit(self, proc: Any, kind: str, arg: Any) -> None:
+        if kind == "acquire":
+            lock_id, grantor = arg
+            how = "local" if grantor is None else f"from p{grantor}"
+            self._emit(proc.pid, "lock", f"acquired L{lock_id} {how}")
+        elif kind == "barrier":
+            self._emit(proc.pid, "barrier", f"passed episode {arg}")
+        else:
+            self._emit(
+                proc.pid, "ckpt", f"checkpoint #{arg} Tckp={tuple(proc.vt)}"
             )
-            orig_send(src, dst, msg)
 
-        cluster.send = send
-
-        # per-process protocol events: wrap after protocols exist
-        orig_setup = cluster.setup
-
-        def setup(app: Any) -> None:
-            orig_setup(app)
-            for host in cluster.hosts:
-                tracer._wrap_proto(host.proto)
-
-        cluster.setup = setup
-
-        # probe events (failure fail-stops, ckpt_write begin/end,
-        # recovery lifecycle): chain onto any consumer already attached
-        orig_probe = cluster.probe
-
-        def probe(pid: int, kind: str, detail: str) -> None:
-            tracer._emit(pid, kind, detail)
-            if orig_probe is not None:
-                orig_probe(pid, kind, detail)
-
-        cluster.probe = probe
-
-    def _wrap_proto(self, proto: Any) -> None:
-        tracer = self
-
-        orig_complete = proto._complete_acquire
-
-        def complete(lock_id: int, grant: Any, local: bool) -> None:
-            orig_complete(lock_id, grant, local)
-            how = "local" if local else f"from p{grant.grantor}"
-            tracer._emit(proto.pid, "lock", f"acquired L{lock_id} {how}")
-
-        proto._complete_acquire = complete
-
-        orig_release = proto.release
-
-        def release(lock_id: int):
-            tracer._emit(proto.pid, "lock", f"release L{lock_id}")
-            return orig_release(lock_id)
-
-        proto.release = release
-
-        orig_bar = proto._complete_barrier
-
-        def complete_barrier(rel: Any) -> None:
-            orig_bar(rel)
-            tracer._emit(proto.pid, "barrier", f"passed episode {rel.episode}")
-
-        proto._complete_barrier = complete_barrier
-
-        orig_flush = proto._end_interval
-
-        def end_interval():
-            dirty = len(proto._dirty)
-            result = yield from orig_flush()
-            if dirty:
-                tracer._emit(
-                    proto.pid,
-                    "flush",
-                    f"interval {proto.vt[proto.pid]}: {dirty} dirty pages",
+    def _on_op(self, proc: Any, kind: str, phase: str, arg: Any) -> None:
+        if phase == "begin":
+            if kind == "release":
+                self._emit(proc.pid, "lock", f"release L{arg}")
+        elif phase == "end":
+            if kind == "flush":
+                self._emit(
+                    proc.pid, "flush",
+                    f"interval {proc.vt[proc.pid]}: {arg} dirty pages",
                 )
-            return result
-
-        proto._end_interval = end_interval
-
-        orig_fetch = proto._fetch
-
-        def fetch(page: Any, entry: Any):
-            result = yield from orig_fetch(page, entry)
-            tracer._emit(proto.pid, "fetch", f"page {tuple(page)}")
-            return result
-
-        proto._fetch = fetch
-
-        ft = proto.ft
-        take = getattr(ft, "take_checkpoint", None)
-        if take is not None:
-
-            def take_checkpoint(*a, **kw):
-                result = yield from take(*a, **kw)
-                tracer._emit(
-                    proto.pid,
-                    "ckpt",
-                    f"checkpoint #{ft.stats.checkpoints_taken} "
-                    f"Tckp={tuple(proto.vt)}",
-                )
-                return result
-
-            ft.take_checkpoint = take_checkpoint
+            elif kind == "fetch":
+                self._emit(proc.pid, "fetch", f"page {tuple(arg)}")
 
     # ------------------------------------------------------------------
     def filter(

@@ -135,12 +135,12 @@ def test_protected_death_mid_transfer_leaves_committed_base():
         seen["keys"] = store.keys()
         seen["pending2"] = store.is_pending(("replica", 2))
 
-    def probe(pid, kind, detail):
+    def probe(pid, kind, detail, data):
         if kind == "failure" and pid == 0 and "sched" not in seen:
             seen["sched"] = True
             cluster.engine.schedule(5e-4, check_buddy_store)
 
-    cluster.probe = probe
+    cluster.hooks.subscribe(probe=probe)
     res = cluster.run(make_app("counter"))  # check_result validates
     assert res.crashes == 1 and res.recoveries == 1
     assert seen["pending2"] is True
@@ -161,11 +161,11 @@ def overlap_schedule():
     probe_times = {}
     single = make_cluster(num_procs=N, ft=True, l_fraction=0.2)
 
-    def probe(pid, kind, detail):
+    def probe(pid, kind, detail, data):
         if kind == "recovery" and pid == 3:
             probe_times.setdefault(detail.split()[0], single.engine.now)
 
-    single.probe = probe
+    single.hooks.subscribe(probe=probe)
     single.schedule_crash(3, at_time=0.4 * t_free)
     single.run(make_app("counter"))
     begin = min(probe_times.values())

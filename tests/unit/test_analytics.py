@@ -85,23 +85,13 @@ def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# committed fixtures load clean (back-compat guarantee)
+# committed fixtures load clean
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "path",
-    ["tests/fixtures/SWEEP_counter_v1.json",
-     "tests/fixtures/SWEEP_counter_k2_v1.json"],
-)
-def test_committed_v1_sweeps_load_unchanged(path):
-    raw = json.load(open(path))
-    assert "schema" not in raw  # they ARE v1 — keep them that way
-    data = load_sweep(path)
-    assert data["schema"] == 1
-    assert data["recovery_by_class"] == {}
-    assert all(p["recovery_phases"] == [] for p in data["points"])
-    assert data["ok"] is True
-    art = load_artifact(path)
-    assert art.kind == "sweep" and art.ok
+def test_schema_less_v1_sweep_is_rejected():
+    data = load_sweep("benchmarks/SWEEP_counter.json")
+    del data["schema"]  # what a v1 artifact looked like
+    with pytest.raises(ValueError, match="schema None"):
+        load_sweep(data)
 
 
 def test_load_sweep_v2_roundtrip_and_unknown_schema(tmp_path):

@@ -142,63 +142,31 @@ def test_size_model_consistent(twin, cur):
     assert d.payload_bytes == sum(len(b) for _, b in d.runs)
 
 
-# -- coalescing, coverage union, batch concatenation --------------------
+# -- run spacing, coverage union, batch concatenation -------------------
 
-from repro.dsm.diff import COALESCE_GAP, concat_diffs
-
-
-def test_coalescing_merges_adjacent_runs():
-    twin = page(0)
-    cur = page(0)
-    cur[10] = 1
-    cur[13] = 2  # gap of 2 equal bytes between the two changed ones
-    d0 = compute_diff(twin, cur)
-    assert len(d0.runs) == 2
-    d = compute_diff(twin, cur, gap=2)
-    assert len(d.runs) == 1
-    off, data = d.runs[0]
-    assert off == 10 and len(data) == 4
-    out = twin.copy()
-    apply_diff(out, d)
-    assert np.array_equal(out, cur)
+from repro.dsm.diff import concat_diffs
 
 
-def test_coalescing_never_grows_encoded_size():
-    """With gap <= COALESCE_GAP the gap payload absorbed never exceeds
-    the run header saved, so the encoded size is monotone non-increasing."""
-    rng = np.random.default_rng(4242)
-    twin = rng.integers(0, 255, size=PAGE, dtype=np.uint8)
-    for _ in range(20):
-        cur = twin.copy()
-        idx = rng.choice(PAGE, size=int(rng.integers(1, 64)), replace=False)
-        cur[idx] ^= 0xFF
-        d0 = compute_diff(twin, cur)
-        dg = compute_diff(twin, cur, gap=COALESCE_GAP)
-        assert dg.size_bytes <= d0.size_bytes
-        assert len(dg.runs) <= len(d0.runs)
-        out = twin.copy()
-        apply_diff(out, dg)
-        assert np.array_equal(out, cur)
-
-
-@given(bytes_pages, bytes_pages, st.integers(0, 16))
+@given(bytes_pages, st.lists(st.integers(0, 16), min_size=1, max_size=40))
 @settings(max_examples=100)
-def test_roundtrip_exact_at_any_gap(twin, cur, gap):
-    d = compute_diff(twin, cur, gap=gap)
+def test_roundtrip_exact_at_any_gap(twin, gaps):
+    """Changed bytes at any spacing: the diff round-trips exactly and
+    its runs hold changed bytes only (runs are never coalesced across
+    unchanged bytes)."""
+    cur = twin.copy()
+    pos = 0
+    for gap in gaps:
+        pos += gap
+        if pos >= PAGE:
+            break
+        cur[pos] ^= 0xFF
+        pos += 1
+    d = compute_diff(twin, cur)
     out = twin.copy()
     apply_diff(out, d)
     assert np.array_equal(out, cur)
-
-
-def test_coalescing_empty_and_full_page():
-    twin = page(0)
-    assert compute_diff(twin, twin, gap=COALESCE_GAP).empty
-    cur = page(7)
-    d = compute_diff(twin, cur, gap=COALESCE_GAP)
-    assert len(d.runs) == 1 and d.payload_bytes == PAGE
-    out = twin.copy()
-    apply_diff(out, d)
-    assert np.array_equal(out, cur)
+    for off, data in d.runs:
+        assert (twin[off : off + len(data)] != cur[off : off + len(data)]).all()
 
 
 @given(st.lists(st.tuples(bytes_pages, bytes_pages), min_size=1, max_size=4))

@@ -55,7 +55,7 @@ def make_replicator(pid=0, n=N):
         ckpt_mgr=SimpleNamespace(next_seqno=1),
         probes=[],
     )
-    ft._probe = lambda kind, detail: ft.probes.append((kind, detail))
+    ft._probe = lambda kind, detail, data=None: ft.probes.append((kind, detail))
     host = FakeHost(pid)
     return Replicator(ft, host), ft
 

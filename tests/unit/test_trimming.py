@@ -137,6 +137,29 @@ def test_llt_trim_after_recovery_mixed_saved_and_fresh_entries():
 
 # -- incremental bounds vs full-rescan oracles --------------------------
 
+def _rescan_tmin(t: TrimmingInfo) -> VClock:
+    out = None
+    for j in range(t.n):
+        if j == t.pid:
+            continue
+        out = t.tckp[j] if out is None else out.meet(t.tckp[j])
+    if out is None:
+        return t.tckp[t.pid]
+    return out
+
+
+def _rescan_wn_keep_from(t: TrimmingInfo) -> int:
+    vals = [t.tckp[j][t.pid] for j in range(t.n) if j != t.pid]
+    if not vals:
+        return 1
+    return min(vals) + 1
+
+
+def _rescan_bar_keep_from(t: TrimmingInfo) -> int:
+    vals = [t.bar_ep[j] for j in range(t.n) if j != t.pid]
+    return min(vals) if vals else 0
+
+
 _learn_seq = st.lists(
     st.tuples(
         st.integers(0, N - 1),  # proc whose row advances
@@ -152,9 +175,9 @@ def test_incremental_bounds_match_rescan(seq):
     t = TrimmingInfo(0, N)
     for proc, vec, bar in seq:
         t.learn_tckp(proc, VClock(vec), bar)
-        assert t.tmin() == t._rescan_tmin()
-        assert t.wn_keep_from() == t._rescan_wn_keep_from()
-        assert t.bar_keep_from() == t._rescan_bar_keep_from()
+        assert t.tmin() == _rescan_tmin(t)
+        assert t.wn_keep_from() == _rescan_wn_keep_from(t)
+        assert t.bar_keep_from() == _rescan_bar_keep_from(t)
 
 
 def test_incremental_bounds_match_rescan_wide():
@@ -169,12 +192,12 @@ def test_incremental_bounds_match_rescan_wide():
         vec = VClock(tuple(int(x) for x in rng.integers(0, 60, n)))
         t.learn_tckp(proc, vec, int(rng.integers(0, 9)))
         if step % 7 == 0:
-            assert t.tmin() == t._rescan_tmin()
-            assert t.wn_keep_from() == t._rescan_wn_keep_from()
-            assert t.bar_keep_from() == t._rescan_bar_keep_from()
-    assert t.tmin() == t._rescan_tmin()
-    assert t.wn_keep_from() == t._rescan_wn_keep_from()
-    assert t.bar_keep_from() == t._rescan_bar_keep_from()
+            assert t.tmin() == _rescan_tmin(t)
+            assert t.wn_keep_from() == _rescan_wn_keep_from(t)
+            assert t.bar_keep_from() == _rescan_bar_keep_from(t)
+    assert t.tmin() == _rescan_tmin(t)
+    assert t.wn_keep_from() == _rescan_wn_keep_from(t)
+    assert t.bar_keep_from() == _rescan_bar_keep_from(t)
 
 
 def test_row_gen_tracks_changes_for_gossip_delta():
